@@ -177,9 +177,6 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
                          std::size_t payload_bytes, u64 max_ms) {
   net::SimNet medium(seed);
   net::TcpStack board(medium, 1);
-  // The abuse-facing profile: embryos from spoofed SYNs die after 2 s
-  // instead of holding backlog slots for the full ~19 s retx horizon.
-  board.set_syn_rcvd_timeout_ms(2'000);
   net::TcpStack backend_host(medium, 2);
   net::TcpStack client_host(medium, 3);
   net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
@@ -495,10 +492,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.flag_int("fuzz-iters", 900, 0));
   const bool smoke = args.flag_int("smoke", 0, 0) != 0;
 
-  // The abuse run wants the hardening counters in the registry (they are
-  // off by default to keep pre-existing benches' JSON stable) and the
-  // flight recorder on (the attribution gate reads it).
-  issl::set_hardening_telemetry(true);
+  // The attribution gate reads the flight recorder.
   telemetry::Tracer::global().set_enabled(true);
 
   std::puts("================================================================");

@@ -421,10 +421,6 @@ int main(int argc, char** argv) {
   const std::size_t kSlots = 16;          // concurrent lifetimes in vitro
   const std::size_t kBudget = 256 * 1024; // slab SRAM budget everywhere
 
-  // Named per-cause reset telemetry (satellite of this PR): lets the gate
-  // below assert "zero alloc-caused restarts" against the registry by name.
-  services::set_reset_cause_telemetry(true);
-
   std::printf("E16: memory churn soak (slab allocator, DESIGN.md s14)\n");
   std::printf("  seed=%llu churn=%llu quarantine=%llu sessions=%llu "
               "faults=%llu\n\n",

@@ -19,7 +19,7 @@
 //   (b) bounded memory — the sampler's retained footprint stays inside the
 //       ring budget no matter how long the soak runs;
 //   (c) passivity — the identical scenario run bare (no sampler, no tracer,
-//       no latency telemetry) produces a byte-identical behavior signature
+//       no SLO engine) produces a byte-identical behavior signature
 //       (completions, failures, boots, wire counters, fault edges) to the
 //       fully instrumented run: observing the service must not change it;
 //   (d) determinism — everything derives from --seed, so the --json /
@@ -309,7 +309,6 @@ int main(int argc, char** argv) {
   telemetry::Registry::global().reset();
   telemetry::Tracer::global().clear();
   telemetry::Tracer::global().set_enabled(true);
-  services::set_latency_telemetry(true);
 
   telemetry::Sampler sampler(
       telemetry::SamplerConfig{.period_ms = kPeriodMs,
@@ -352,7 +351,6 @@ int main(int argc, char** argv) {
   const std::size_t kLat = engine.add_rule(lat);
 
   const Outcome run = run_scenario(seed, &sampler, &engine);
-  services::set_latency_telemetry(false);
   telemetry::Tracer::global().set_enabled(false);
 
   // --- report ---------------------------------------------------------------

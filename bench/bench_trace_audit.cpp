@@ -86,12 +86,10 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   net::TcpStack backend_host(medium, 2);
   net::TcpStack client_host(medium, 3);
   // A WDT bite can destroy the board mid-close: the client has its FIN acked
-  // (FIN_WAIT_2) but the peer's FIN dies with the board, and FIN_WAIT_2 has
-  // no retransmission to time out on. Without this the trace audit would
-  // flag a genuinely half-open TCB as an orphan forever. 10s of silence is
-  // far beyond the retx give-up horizon, and the post-soak drain runs 30s.
-  backend_host.set_fin_wait2_timeout_ms(10'000);
-  client_host.set_fin_wait2_timeout_ms(10'000);
+  // (FIN_WAIT_2) but the peer's FIN dies with the board. The stack's
+  // FIN_WAIT_2 timeout (TcpStack::kFinWait2TimeoutMs, 10 s) ends that
+  // half-open TCB well inside the 30 s post-soak drain, so the trace audit
+  // sees a terminal transition instead of an orphan.
   services::EchoBackend backend(backend_host, 8000);
   (void)backend.start();
 

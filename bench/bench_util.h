@@ -114,8 +114,8 @@ class Args {
 
   /// Wall-clock milliseconds since flag parsing (≈ process start). Host
   /// state, not workload shape: reported next to the deterministic numbers
-  /// but excluded from the byte-determinism comparison set (see
-  /// JsonReport::write and RMC_BENCH_NO_HOST_MS).
+  /// but stripped before every byte-determinism comparison (see
+  /// JsonReport::write).
   u64 host_ms() const {
     return static_cast<u64>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -241,12 +241,10 @@ class JsonReport {
     w.kv("schema_version", 1);
     w.kv("bench", bench_);
     // Wall-clock cost of the run: the perf trajectory the committed
-    // snapshots carry. Host state varies run to run, so the determinism
-    // gates (scripts/check.sh) export RMC_BENCH_NO_HOST_MS=1 to keep their
-    // byte-for-byte comparisons meaningful.
-    if (std::getenv("RMC_BENCH_NO_HOST_MS") == nullptr) {
-      w.kv("host_ms", args.host_ms());
-    }
+    // snapshots carry. It is the only field that varies run to run, so the
+    // determinism gates (scripts/check.sh) strip it before every
+    // byte-for-byte comparison.
+    w.kv("host_ms", args.host_ms());
     w.key("params");
     w.begin_object();
     for (const auto& [name, value] : args.params()) {

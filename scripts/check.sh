@@ -1,41 +1,42 @@
 #!/usr/bin/env bash
-# Pre-merge gate: tier-1 tests, then ASan/UBSan builds of the two soak
-# benches — E9 (wire faults) and E10 (board deaths: watchdog, power cuts,
-# xalloc exhaustion) — plus the resumption bench E11 and the trace audit
-# E12, so every corruption/teardown/recovery/abbreviated-handshake/tracing
-# path is sanitizer-clean, then double runs proving those --json artifacts
-# are byte-reproducible for a fixed seed. E12 additionally proves trace
-# determinism: two traced runs must produce byte-identical Chrome trace
-# JSON *and* pcap, not just identical bench JSON. E15 (abuse soak) runs its
-# hostile-peer scenarios and the coverage-guided fuzz phase under the same
-# sanitizers — every malformed-input parse path gets exercised with ASan
-# watching — and its JSON joins the determinism double-run. E16 (memory
-# churn) runs reduced-scale in quarantine/poison mode so every slab
-# alloc/free/audit path is sanitizer-checked, and double-runs for byte
-# reproducibility. E17 (SLO timeline) runs its partition + power-cut soak
-# with the sampler and alert engine under the same sanitizers, and its JSON
-# and timeseries CSV join the determinism double-run. Finally, a baseline
-# gate: with resumption and tracing off (the defaults), the gated bench
-# artifacts (E1/E4/E5/E9/E10/E11/E12/E14) must be byte-identical to the
-# ones a clean checkout of origin/main (or main) produces — new machinery
-# must be invisible until switched on. With the crypto offload engine
-# (E14), the abuse library, the slab allocator (E16), and the timeseries
-# sampler + latency histograms (E17) in the tree, that baseline doubles as
-# the do-no-harm gate: the hardening/observability hooks are compiled into
-# every bench binary but never selected by the gated configs (the sampler
-# is never attached and latency telemetry defaults off), so their JSON
-# must not move by a byte.
+# Pre-merge gate:
+#
+#   1. tier-1: build + ctest.
+#   2. sanitizers: ASan/UBSan builds of the soak and fault benches — E9
+#      (wire faults), E10 (board deaths), E11 (resumption), E12 (trace
+#      audit), E14 (crypto offload), E15 (hostile peers + fuzz), E16
+#      (reduced-scale slab churn in quarantine/poison mode) and E17 (SLO
+#      timeline) — so every corruption, teardown, recovery, parse and
+#      tracing path runs sanitizer-clean. The artifacts no snapshot covers
+#      double-run here for byte-reproducibility: E16's reduced-scale JSON,
+#      E12's Chrome trace + pcap, and E17's timeseries CSV.
+#   3. snapshots: scripts/run_benches.sh runs every bench (Release) into a
+#      scratch directory, and each BENCH_*.json except BENCH_CRYPTO.json
+#      (google-benchmark wall-clock) must equal its committed
+#      bench/snapshots/ counterpart byte for byte, host_ms stripped from
+#      both sides. A bench without a committed snapshot fails. A deliberate
+#      behaviour change refreshes the snapshots in the same change, so the
+#      rebaseline is a diff a reviewer reads.
+#   4. dispatch matrix: the same E1/E9 run under RMC_DISPATCH=legacy must
+#      equal the snapshot too (step 3 ran the default fast interpreter).
 #
 # Usage:
-#   scripts/check.sh [--skip-baseline]
+#   scripts/check.sh
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-# Benches report wall-clock host_ms in their JSON for the snapshot perf
-# trajectory; every byte-for-byte comparison below must exclude it.
-export RMC_BENCH_NO_HOST_MS=1
-skip_baseline=0
-[[ "${1:-}" == "--skip-baseline" ]] && skip_baseline=1
+snap_dir="$repo_root/bench/snapshots"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# The one way this script compares bench JSON: byte for byte, minus the
+# wall-clock host_ms field (the only one that varies run to run).
+strip_host_ms() { sed -E 's/"host_ms":[0-9]+,//' "$1"; }
+same_json() {
+  cmp -s <(strip_host_ms "$1") <(strip_host_ms "$2") && return
+  echo "$1 differs from $2 (host_ms stripped)" >&2
+  return 1
+}
 
 echo "== tier-1: build + ctest =="
 cmake -B "$repo_root/build" -S "$repo_root" >/dev/null
@@ -43,7 +44,7 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan soaks (E9, E10) + E11 + E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
@@ -54,7 +55,15 @@ cmake --build "$san_dir" -j --target bench_fault_soak --target bench_crash_soak 
 "$san_dir/bench/bench_fault_soak" --seed 233
 "$san_dir/bench/bench_crash_soak" --seed 233
 "$san_dir/bench/bench_resumption"
-"$san_dir/bench/bench_trace_audit"
+# E12: two traced runs must produce byte-identical Chrome trace JSON and
+# pcap.
+for run in a b; do
+  "$san_dir/bench/bench_trace_audit" \
+    --trace "$tmp/e12$run.trace.json" --pcap "$tmp/e12$run.pcap" >/dev/null
+done
+cmp "$tmp/e12a.trace.json" "$tmp/e12b.trace.json"
+cmp "$tmp/e12a.pcap" "$tmp/e12b.pcap"
+echo "E12: trace and pcap identical"
 # E14 carries its own PASS/FAIL gate (engine wire identity + >=5x per
 # record); a nonzero exit here fails the check either way.
 "$san_dir/bench/bench_crypto_offload"
@@ -63,7 +72,7 @@ cmake --build "$san_dir" -j --target bench_fault_soak --target bench_crash_soak 
 # under this build feeds every mutated input to ASan/UBSan-checked parsers.
 "$san_dir/bench/bench_abuse_soak" --seed 233
 # E16 under sanitizers runs the whole churn in quarantine/poison mode with
-# reduced cycle counts (full scale is the Release snapshot's job): every
+# reduced cycle counts (full scale is the snapshot's job): every
 # alloc/free/poison-audit path executes with ASan watching the backing
 # store, and the deliberate double-free/use-after-free demo must be caught
 # by the slab's own detection (the slab never hands the stale bytes to the
@@ -71,136 +80,63 @@ cmake --build "$san_dir" -j --target bench_fault_soak --target bench_crash_soak 
 # asserting).
 e16_flags=(--seed 233 --churn-cycles 20000 --quarantine-cycles 5000
            --sessions 40 --fault-sessions 8 --min-cycles 1 --quarantine 1)
-"$san_dir/bench/bench_mem_churn" "${e16_flags[@]}"
+for run in a b; do
+  "$san_dir/bench/bench_mem_churn" "${e16_flags[@]}" \
+    --json "$tmp/e16$run.json" >/dev/null
+done
+same_json "$tmp/e16a.json" "$tmp/e16b.json"
+echo "E16: reduced-scale json identical"
 # E17 runs both legs (bare + instrumented) of its partition/power-cut soak,
 # so the sampler scrape, delta rings, percentile math, SLO evaluation, and
 # the byte-identity signature comparison all execute under ASan/UBSan.
-"$san_dir/bench/bench_slo_timeline" --seed 563
-
-echo
-echo "== determinism: E9-E11 + E14-E17 json (and E17 csv) byte-reproducible =="
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
-"$san_dir/bench/bench_fault_soak" --seed 233 --json "$tmp/a.json" >/dev/null
-"$san_dir/bench/bench_fault_soak" --seed 233 --json "$tmp/b.json" >/dev/null
-cmp "$tmp/a.json" "$tmp/b.json"
-"$san_dir/bench/bench_crash_soak" --seed 233 --json "$tmp/c.json" >/dev/null
-"$san_dir/bench/bench_crash_soak" --seed 233 --json "$tmp/d.json" >/dev/null
-cmp "$tmp/c.json" "$tmp/d.json"
-"$san_dir/bench/bench_resumption" --json "$tmp/e.json" >/dev/null
-"$san_dir/bench/bench_resumption" --json "$tmp/f.json" >/dev/null
-cmp "$tmp/e.json" "$tmp/f.json"
-"$san_dir/bench/bench_crypto_offload" --json "$tmp/e14a.json" >/dev/null
-"$san_dir/bench/bench_crypto_offload" --json "$tmp/e14b.json" >/dev/null
-cmp "$tmp/e14a.json" "$tmp/e14b.json"
-"$san_dir/bench/bench_abuse_soak" --seed 233 --json "$tmp/e15a.json" >/dev/null
-"$san_dir/bench/bench_abuse_soak" --seed 233 --json "$tmp/e15b.json" >/dev/null
-cmp "$tmp/e15a.json" "$tmp/e15b.json"
-"$san_dir/bench/bench_mem_churn" "${e16_flags[@]}" --json "$tmp/e16a.json" >/dev/null
-"$san_dir/bench/bench_mem_churn" "${e16_flags[@]}" --json "$tmp/e16b.json" >/dev/null
-cmp "$tmp/e16a.json" "$tmp/e16b.json"
-"$san_dir/bench/bench_slo_timeline" --seed 563 \
-  --json "$tmp/e17a.json" --csv "$tmp/e17a.csv" >/dev/null
-"$san_dir/bench/bench_slo_timeline" --seed 563 \
-  --json "$tmp/e17b.json" --csv "$tmp/e17b.csv" >/dev/null
-cmp "$tmp/e17a.json" "$tmp/e17b.json"
+for run in a b; do
+  "$san_dir/bench/bench_slo_timeline" --seed 563 \
+    --csv "$tmp/e17$run.csv" >/dev/null
+done
 cmp "$tmp/e17a.csv" "$tmp/e17b.csv"
-echo "identical artifacts"
+echo "E17: timeseries csv identical"
 
 echo
-echo "== dispatch matrix: fast vs legacy => byte-identical E1/E9 json =="
-# The predecoded fast interpreter must be an execution-order no-op: the same
-# bench, run under RMC_DISPATCH=fast and RMC_DISPATCH=legacy, has to emit
-# byte-identical JSON (host_ms already excluded above). E1 is the
-# interpreter-heavy artifact, E9 the SimNet-heavy one.
+echo "== snapshots: every bench json == bench/snapshots (host_ms stripped) =="
+"$repo_root/scripts/run_benches.sh" "$tmp/benches" >/dev/null
+compared=0
+failed=()
+for fresh in "$tmp/benches"/BENCH_*.json; do
+  name="$(basename "$fresh")"
+  [[ "$name" == BENCH_CRYPTO.json || "$name" == *.trace.json ]] && continue
+  id="${name#BENCH_}" id="${id%.json}"
+  compared=$((compared + 1))
+  if [[ ! -f "$snap_dir/$name" ]]; then
+    echo "$id: no committed snapshot"
+    failed+=("$id")
+  elif ! same_json "$fresh" "$snap_dir/$name" 2>/dev/null; then
+    echo "$id: differs from bench/snapshots/$name (snapshot <, fresh >):"
+    diff <(strip_host_ms "$snap_dir/$name" | tr ',' '\n') \
+         <(strip_host_ms "$fresh" | tr ',' '\n') | head -40 || true
+    failed+=("$id")
+  else
+    echo "$id: matches snapshot"
+  fi
+done
+if ((${#failed[@]})); then
+  echo "snapshot gate FAILED for: ${failed[*]}" >&2
+  exit 1
+fi
+echo "$compared artifacts match bench/snapshots"
+
+echo
+echo "== dispatch matrix: RMC_DISPATCH=legacy E1/E9 == snapshot =="
+# The predecoded fast interpreter must be an execution-order no-op. E1 is
+# the interpreter-heavy artifact, E9 the SimNet-heavy one.
 for entry in E1:bench_aes_asm_vs_c E9:bench_fault_soak; do
   id="${entry%%:*}" bin="${entry#*:}"
   extra=()
   [[ "$id" == E9 ]] && extra=(--seed 233)
-  RMC_DISPATCH=fast "$repo_root/build/bench/$bin" "${extra[@]}" \
-    --json "$tmp/${id}_fast.json" >/dev/null
-  RMC_DISPATCH=legacy "$repo_root/build/bench/$bin" "${extra[@]}" \
+  RMC_DISPATCH=legacy "$repo_root/build-bench/bench/$bin" "${extra[@]}" \
     --json "$tmp/${id}_legacy.json" >/dev/null
-  cmp "$tmp/${id}_fast.json" "$tmp/${id}_legacy.json"
-  echo "$id: fast == legacy"
+  same_json "$tmp/${id}_legacy.json" "$snap_dir/BENCH_$id.json"
+  echo "$id: legacy == snapshot"
 done
-
-echo
-echo "== fleet: threaded boards == sequential boards (digest gate) =="
-# Re-run the Fleet determinism tests with a thread oversubscription that
-# shakes out scheduling races the default ctest pass may not have seen.
-RMC_BOARD_THREADS=8 "$repo_root/build/tests/test_dispatch" \
-  --gtest_filter='Fleet.*' --gtest_repeat=3 >/dev/null
-echo "fleet digests identical across thread schedules"
-
-echo
-echo "== trace determinism: E12 json + chrome trace + pcap byte-identical =="
-"$san_dir/bench/bench_trace_audit" --json "$tmp/g.json" \
-  --trace "$tmp/g.trace.json" --pcap "$tmp/g.pcap" >/dev/null
-"$san_dir/bench/bench_trace_audit" --json "$tmp/h.json" \
-  --trace "$tmp/h.trace.json" --pcap "$tmp/h.pcap" >/dev/null
-cmp "$tmp/g.json" "$tmp/h.json"
-cmp "$tmp/g.trace.json" "$tmp/h.trace.json"
-cmp "$tmp/g.pcap" "$tmp/h.pcap"
-echo "identical trace artifacts"
-
-if ((skip_baseline)); then
-  echo
-  echo "check.sh: baseline gate skipped (--skip-baseline)"
-else
-  echo
-  echo "== baseline: new machinery off => gated benches identical to main =="
-  # Default-off machinery (resumption, tracing, the engine backend, the
-  # record/cache hardening telemetry, the timeseries sampler + SLO engine)
-  # must be invisible: run the gated benches (E1/E4/E5/E9/E10/E11/E12/E14 —
-  # none of whose configs switch the new knobs on) from this tree AND from
-  # a pristine main worktree, and require byte-identical JSON. This is the
-  # do-no-harm gate — the hardening/observability paths are compiled into
-  # every binary here, and merely compiling them in must not move a byte.
-  # In particular E1/E9/E11 pin sampler-off byte-identity: the sampler and
-  # hot-path latency histograms are linked into all three, but no sampler
-  # is attached and services latency telemetry defaults off.
-  base_ref="origin/main"
-  git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null || base_ref="main"
-  if git -C "$repo_root" rev-parse --verify -q "$base_ref" >/dev/null &&
-     ! git -C "$repo_root" diff --quiet "$base_ref" -- \
-         src bench scripts 2>/dev/null; then
-    base_dir="$tmp/baseline-src"
-    git -C "$repo_root" worktree add --detach "$base_dir" "$base_ref" >/dev/null
-    trap 'git -C "$repo_root" worktree remove --force "$base_dir" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
-    cmake -B "$base_dir/build" -S "$base_dir" -DCMAKE_BUILD_TYPE=Release >/dev/null
-    # A gated bench that the baseline ref predates (a brand-new experiment)
-    # has nothing to compare against — skip it rather than fail the build.
-    gated=()
-    for entry in E1:bench_aes_asm_vs_c E4:bench_connections \
-                 E5:bench_ssl_throughput E9:bench_fault_soak \
-                 E10:bench_crash_soak E11:bench_resumption \
-                 E12:bench_trace_audit E14:bench_crypto_offload; do
-      if [[ -f "$base_dir/bench/${entry#*:}.cpp" ]]; then
-        gated+=("$entry")
-      else
-        echo "${entry%%:*}: not in $base_ref yet — skipped"
-      fi
-    done
-    targets=()
-    for entry in "${gated[@]}"; do targets+=(--target "${entry#*:}"); done
-    cmake --build "$base_dir/build" -j "${targets[@]}" >/dev/null
-    rel_dir="$repo_root/build-rel-gate"
-    cmake -B "$rel_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build "$rel_dir" -j "${targets[@]}" >/dev/null
-    for entry in "${gated[@]}"; do
-      id="${entry%%:*}" bin="${entry#*:}"
-      extra=()
-      [[ "$id" == E9 || "$id" == E10 ]] && extra=(--seed 233)
-      "$base_dir/build/bench/$bin" "${extra[@]}" --json "$tmp/base_$id.json" >/dev/null
-      "$rel_dir/bench/$bin" "${extra[@]}" --json "$tmp/head_$id.json" >/dev/null
-      cmp "$tmp/base_$id.json" "$tmp/head_$id.json"
-      echo "$id: identical to $base_ref"
-    done
-  else
-    echo "tree matches $base_ref (or no baseline ref) — nothing to compare"
-  fi
-fi
 
 echo
 echo "check.sh: all gates passed"

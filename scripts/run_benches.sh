@@ -5,7 +5,7 @@
 #
 # Every bench runs even if an earlier one fails; failures are collected and
 # a per-bench PASS/FAIL table is printed at the end — and also written as
-# machine-readable bench/snapshots/SUMMARY.json — and the script exits
+# machine-readable SUMMARY.json next to the artifacts — and the script exits
 # non-zero if there were any failures. A half-written artifact from a failed
 # bench is removed so stale JSON never masquerades as a fresh result.
 #
@@ -78,8 +78,7 @@ ls -l "$out_dir"/BENCH_* || true
 echo
 echo "bench     result"
 echo "--------  ------"
-summary_json="$repo_root/bench/snapshots/SUMMARY.json"
-mkdir -p "$(dirname "$summary_json")"
+summary_json="$out_dir/SUMMARY.json"
 {
   echo '{'
   echo '  "schema_version": 1,'

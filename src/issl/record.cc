@@ -32,12 +32,8 @@ telemetry::Counter& engine_fallback_counter() {
       telemetry::Registry::global().counter("issl.engine_fallbacks");
   return c;
 }
-// Gated behind set_hardening_telemetry: lazy registration alone is not
-// enough here, because wire corruption in pre-existing gated soaks (E9) can
-// land on the 4 header bytes and take the malformed path — registering this
-// instrument there would move their metrics JSON. The per-codec counter
-// (malformed_records()) is always live; only the registry mirror is opt-in.
-bool g_hardening_telemetry = false;
+// Registered on the first malformed record, so runs that never see one keep
+// the instrument out of their metrics JSON.
 telemetry::Counter& malformed_counter() {
   static telemetry::Counter& c =
       telemetry::Registry::global().counter("issl.malformed_records");
@@ -71,12 +67,9 @@ u64 software_hmac_cycles(const SoftwareCost& c, std::size_t msg_bytes) {
 }
 }  // namespace
 
-void set_hardening_telemetry(bool on) { g_hardening_telemetry = on; }
-bool hardening_telemetry() { return g_hardening_telemetry; }
-
 void RecordCodec::note_malformed() {
   ++malformed_records_;
-  if (g_hardening_telemetry) malformed_counter().add();
+  malformed_counter().add();
 }
 
 const char* backend_name(Backend b) {

@@ -49,15 +49,6 @@ inline constexpr std::size_t kMaxRecordPayload = 16 * 1024;
 /// a single body byte is buffered on its behalf.
 inline constexpr std::size_t kMaxRecordLen = kMaxRecordPayload + 64;
 
-/// Off-by-default mirror of the per-codec hardening counters into the
-/// global registry (`issl.malformed_records`). Gated rather than lazily
-/// registered because pre-existing soaks (E9's corruption scenarios) can
-/// hit the malformed-record path: an always-on registry instrument would
-/// change their metrics JSON and break the check.sh baseline byte-identity
-/// gate. The abuse bench and tests switch it on explicitly.
-void set_hardening_telemetry(bool on);
-bool hardening_telemetry();
-
 struct Record {
   RecordType type;
   std::vector<u8> payload;  // decrypted/verified plaintext
@@ -132,8 +123,8 @@ class RecordCodec {
   u64 crypto_cost_cycles() const { return crypto_cost_cycles_; }
 
  private:
-  /// Record one refused-as-malformed input (and mirror it into the gated
-  /// global counter when hardening telemetry is on).
+  /// Record one refused-as-malformed input, mirrored into the global
+  /// `issl.malformed_records` counter.
   void note_malformed();
   common::Result<std::vector<u8>> open_payload(RecordType type,
                                                std::span<const u8> wire);

@@ -466,9 +466,7 @@ void TcpStack::handle_listener(Tcb& listener, const Segment& seg) {
   conn.iss = rng_.next_u32();
   conn.snd_una = conn.iss;
   conn.snd_nxt = conn.iss + 1;
-  if (syn_rcvd_timeout_ms_ > 0) {
-    conn.syn_rcvd_deadline = now_ms_ + syn_rcvd_timeout_ms_;
-  }
+  conn.syn_rcvd_deadline = now_ms_ + kSynRcvdTimeoutMs;
   transition(conn, TcpState::kSynRcvd);
   transmit(conn, conn.iss, TcpFlags::kSyn | TcpFlags::kAck, {});
   auto [it, ok] = socks_.emplace(id, std::move(conn));
@@ -542,9 +540,7 @@ void TcpStack::handle_connection(int id, Tcb& tcb, const Segment& seg) {
       if (tcb.fin_sent && tcb.snd_una == tcb.snd_nxt) {
         if (tcb.state == TcpState::kFinWait1) {
           transition(tcb, TcpState::kFinWait2);
-          if (fin_wait2_timeout_ms_ != 0) {
-            tcb.fin_wait2_deadline = now_ms_ + fin_wait2_timeout_ms_;
-          }
+          tcb.fin_wait2_deadline = now_ms_ + kFinWait2TimeoutMs;
         } else if (tcb.state == TcpState::kLastAck) {
           transition(tcb, TcpState::kClosed);
         }
@@ -709,8 +705,7 @@ void TcpStack::on_tick(u64 now_ms) {
     if (tcb.retx_deadline != 0 && now_ms_ >= tcb.retx_deadline) {
       retransmit(tcb);
     }
-    if (tcb.state == TcpState::kSynRcvd && tcb.syn_rcvd_deadline != 0 &&
-        now_ms_ >= tcb.syn_rcvd_deadline) {
+    if (tcb.state == TcpState::kSynRcvd && now_ms_ >= tcb.syn_rcvd_deadline) {
       // Embryo never completed the handshake inside the cap. A spoofed
       // flood source will never answer, so there is nobody to RST; drop
       // quietly and let the accept-queue prune reclaim the backlog slot.
@@ -722,8 +717,7 @@ void TcpStack::on_tick(u64 now_ms) {
       kill(tcb, /*reset=*/false);
       continue;
     }
-    if (tcb.state == TcpState::kFinWait2 && tcb.fin_wait2_deadline != 0 &&
-        now_ms_ >= tcb.fin_wait2_deadline) {
+    if (tcb.state == TcpState::kFinWait2 && now_ms_ >= tcb.fin_wait2_deadline) {
       // The peer acked our FIN but never closed its half; it is almost
       // certainly dead (a live peer would have something to say within the
       // timeout). Drop quietly — there is nobody to RST.

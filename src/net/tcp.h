@@ -54,6 +54,20 @@ class TcpStack : public NetworkEndpoint {
   static constexpr u64 kRtoMs = 200;                // base RTO
   static constexpr u64 kRtoMaxMs = 3'200;           // backoff ceiling
   static constexpr int kMaxRetx = 8;                // then RST + was_reset
+  /// FIN_WAIT_2 inactivity timeout. A peer that acked our FIN but never
+  /// sends its own — typically because its host lost power mid-close —
+  /// would otherwise leave the TCB half-open forever: FIN_WAIT_2 has nothing
+  /// in flight, so the retransmission machinery never times out. After this
+  /// much silence the connection is dropped quietly (no RST, no reset
+  /// counters), like Linux's tcp_fin_timeout.
+  static constexpr u64 kFinWait2TimeoutMs = 10'000;
+  /// Embryonic-connection timeout. A SYN flood from spoofed sources parks
+  /// one never-answering embryo per backlog slot; without a cap each holds
+  /// its slot until SYN-ACK retransmission gives up (~19 s of backoff).
+  /// After this long without the handshake ACK the embryo is dropped
+  /// quietly (no RST — a spoofed source has nobody listening) and its
+  /// backlog slot is reclaimed, like a short tcp_synack_retries horizon.
+  static constexpr u64 kSynRcvdTimeoutMs = 2'000;
 
   TcpStack(SimNet& net, IpAddr addr, u64 seed = 7);
 
@@ -145,24 +159,7 @@ class TcpStack : public NetworkEndpoint {
   /// log line here.
   void set_diag_log(common::RingLog* log) { diag_log_ = log; }
 
-  /// Optional FIN_WAIT_2 inactivity timeout (0 = off, the default). A peer
-  /// that acked our FIN but never sends its own — typically because its host
-  /// lost power mid-close — leaves the TCB half-open forever: FIN_WAIT_2 has
-  /// nothing in flight, so the retransmission machinery never times out.
-  /// After `ms` of silence the connection is dropped quietly (no RST, no
-  /// reset counters), like Linux's tcp_fin_timeout.
-  void set_fin_wait2_timeout_ms(u64 ms) { fin_wait2_timeout_ms_ = ms; }
-
-  /// Optional embryonic-connection timeout (0 = off, the default —
-  /// historical behavior: a SYN_RCVD TCB lives until SYN-ACK retransmission
-  /// gives up, ~19 s of backoff). A SYN flood from spoofed sources parks
-  /// one never-answering embryo per backlog slot, so the abuse-facing
-  /// profile caps their lifetime: after `ms` without the handshake ACK the
-  /// embryo is dropped quietly (no RST — a spoofed source has nobody
-  /// listening) and its backlog slot is reclaimed, like a short
-  /// tcp_synack_retries horizon.
-  void set_syn_rcvd_timeout_ms(u64 ms) { syn_rcvd_timeout_ms_ = ms; }
-  /// Embryos dropped by that timeout.
+  /// Embryos dropped by kSynRcvdTimeoutMs.
   u64 embryonic_timeouts() const { return embryonic_timeouts_; }
   /// SYN_RCVD TCBs currently resident — the half-open backlog pressure a
   /// SYN flood creates.
@@ -212,8 +209,8 @@ class TcpStack : public NetworkEndpoint {
     bool peer_fin = false;
     bool reset = false;
     u64 retx_deadline = 0;
-    u64 fin_wait2_deadline = 0;  // armed on entering FIN_WAIT_2 (if enabled)
-    u64 syn_rcvd_deadline = 0;   // armed on embryo creation (if enabled)
+    u64 fin_wait2_deadline = 0;  // armed on entering FIN_WAIT_2
+    u64 syn_rcvd_deadline = 0;   // armed on embryo creation
     u64 rto_ms = kRtoMs;  // current (backed-off) RTO
     int retx_count = 0;
     // RTT sampling (see last_rtt_ms): one outstanding stamp at a time.
@@ -261,8 +258,6 @@ class TcpStack : public NetworkEndpoint {
   u64 tcbs_reaped_ = 0;
   u64 syn_backlog_drops_ = 0;
   common::RingLog* diag_log_ = nullptr;
-  u64 fin_wait2_timeout_ms_ = 0;  // 0 = never expire (historical behavior)
-  u64 syn_rcvd_timeout_ms_ = 0;   // 0 = retx give-up only (historical)
   u64 embryonic_timeouts_ = 0;
   std::map<Port, std::deque<Datagram>> udp_ports_;
   u64 echo_replies_ = 0;

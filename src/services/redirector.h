@@ -44,14 +44,6 @@ namespace rmc::services {
 using common::u64;
 using common::u8;
 
-/// Opt-in latency histograms on the redirector hot path: handshake
-/// start->established (full and abbreviated-resume curves) and per-connection
-/// backend forward RTT, all in virtual cycles. Off by default — registering
-/// histograms changes the metrics JSON, and the byte-identity gates pin the
-/// default export (same pattern as set_reset_cause_telemetry). Process-wide.
-void set_latency_telemetry(bool on);
-bool latency_telemetry();
-
 /// The redirector's battery-backed bookkeeping: everything the service must
 /// not lose across a watchdog bite or power cut. Stored through a
 /// DurableVar, so a torn update is detected and rolled back, never

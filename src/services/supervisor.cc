@@ -7,10 +7,6 @@
 namespace rmc::services {
 
 namespace {
-// Per-cause reset telemetry toggle — see the header. Process-wide, like the
-// tracer enable, because the instruments it guards are process-wide.
-bool g_reset_cause_telemetry = false;
-
 // All fault instruments are created lazily, on the first actual fault: a
 // fault-free run (every E1-E9 bench) must emit metrics JSON bit-identical
 // to a build without this subsystem. The function-local statics keep the
@@ -28,18 +24,16 @@ void count_reset(FaultKind fault, common::u64 recovery_ms) {
   cycles.add(recovery_ms * ServiceBoard::kCyclesPerMs);
   cause.set(static_cast<telemetry::i64>(fault));
   // Per-cause counters (board.resets.watchdog / .power-cut / .xalloc) are
-  // doubly gated: behind the opt-in toggle AND created only for causes that
-  // actually fire. Handles cached per cause — one name lookup each, ever.
-  if (g_reset_cause_telemetry) {
-    static telemetry::Counter* by_cause[4] = {};
-    const auto i = static_cast<std::size_t>(fault);
-    if (i < 4) {
-      if (by_cause[i] == nullptr) {
-        by_cause[i] = &telemetry::Registry::global().counter(
-            std::string("board.resets.") + fault_kind_name(fault));
-      }
-      by_cause[i]->add();
+  // created only for causes that actually fire. Handles cached per cause —
+  // one name lookup each, ever.
+  static telemetry::Counter* by_cause[4] = {};
+  const auto i = static_cast<std::size_t>(fault);
+  if (i < 4) {
+    if (by_cause[i] == nullptr) {
+      by_cause[i] = &telemetry::Registry::global().counter(
+          std::string("board.resets.") + fault_kind_name(fault));
     }
+    by_cause[i]->add();
   }
 }
 void count_wdt_fire() {
@@ -48,9 +42,6 @@ void count_wdt_fire() {
   c.add();
 }
 }  // namespace
-
-void set_reset_cause_telemetry(bool on) { g_reset_cause_telemetry = on; }
-bool reset_cause_telemetry() { return g_reset_cause_telemetry; }
 
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
@@ -160,12 +151,9 @@ void ServiceBoard::go_down(FaultKind fault) {
       postmortem_.push_back(std::move(line));
     }
   }
-  // Opt-in cause naming (satellite of the memory-soak work): a distinct
-  // battery-log line per cause lets the E16 audit assert by name that no
-  // restart was alloc-caused, without parsing the gauge out of JSON.
-  if (g_reset_cause_telemetry) {
-    battery_.log.append(std::string("reset-cause ") + fault_kind_name(fault));
-  }
+  // A distinct battery-log line per cause lets an audit (E16) assert by name
+  // that no restart was alloc-caused, without parsing the gauge out of JSON.
+  battery_.log.append(std::string("reset-cause ") + fault_kind_name(fault));
   last_fault_ = fault;
   fault_at_ms_ = net_.now_ms();
   // Fail closed: off the wire first, then tear down the per-boot world.

@@ -37,14 +37,6 @@
 
 namespace rmc::services {
 
-/// Per-cause reset telemetry (board.resets.<cause> counters plus a
-/// "reset-cause <name>" battery-log line on each go_down). Off by default:
-/// enabling it changes metrics JSON and battery-log contents, so fault
-/// benches that predate it (E10, E15) stay byte-identical unless a harness
-/// opts in. E16 opts in to assert zero alloc-caused restarts by name.
-void set_reset_cause_telemetry(bool on);
-bool reset_cause_telemetry();
-
 /// Why the service world last went down.
 enum class FaultKind : common::u8 {
   kNone,             // still on its first boot

@@ -17,7 +17,7 @@
 //   * passive: sampling only reads instruments; it never creates them, never
 //     draws PRNG values, and never perturbs the workload — a sampler-off run
 //     is byte-identical to one that never constructed a Sampler (check.sh's
-//     baseline gate and E17 gate (c) both pin this);
+//     snapshot gate and E17 gate (c) both pin this);
 //   * bounded: ring capacity is fixed at construction; memory_bytes() reports
 //     the retained footprint and E17 gates it against the configured budget;
 //   * deterministic: scrape order is the registry's name order, timestamps
@@ -27,8 +27,8 @@
 //     so the sampler scrapes nothing and exports empty sections.
 //
 // Driving it: call tick(now_ms) from any per-virtual-ms loop — ServiceBoard
-// ticks an attached sampler in poll(), rabbit::Fleet from its barrier hook —
-// and it samples only when a full period has elapsed.
+// ticks an attached sampler in poll() — and it samples only when a full
+// period has elapsed.
 #pragma once
 
 #include <cstddef>

@@ -66,31 +66,17 @@ TEST(RecordHardening, LengthPastBoundPoisonsBeforeBuffering) {
   EXPECT_LE(codec.buffered_bytes(), issl::kRecordHeaderBytes);
 }
 
-TEST(RecordHardening, GatedTelemetryMirrorsMalformedCounter) {
+TEST(RecordHardening, RegistryMirrorsMalformedCounter) {
   auto& counter =
       telemetry::Registry::global().counter("issl.malformed_records");
   const u64 before = counter.value();
 
-  // Telemetry off (the default): the codec counts, the registry does not —
-  // this is what keeps pre-existing bench JSON byte-identical.
-  {
-    common::Xorshift64 rng(2);
-    issl::RecordCodec codec(rng);
-    ASSERT_TRUE(codec.feed(abuse::raw_record(1, 0x31, 1, {})).is_ok());
-    EXPECT_FALSE(codec.pop().ok());
-    EXPECT_EQ(codec.malformed_records(), 1u);
-    EXPECT_EQ(counter.value(), before);
-  }
-
-  issl::set_hardening_telemetry(true);
-  {
-    common::Xorshift64 rng(2);
-    issl::RecordCodec codec(rng);
-    ASSERT_TRUE(codec.feed(abuse::raw_record(1, 0x31, 1, {})).is_ok());
-    EXPECT_FALSE(codec.pop().ok());
-    EXPECT_EQ(counter.value(), before + 1);
-  }
-  issl::set_hardening_telemetry(false);
+  common::Xorshift64 rng(2);
+  issl::RecordCodec codec(rng);
+  ASSERT_TRUE(codec.feed(abuse::raw_record(1, 0x31, 1, {})).is_ok());
+  EXPECT_FALSE(codec.pop().ok());
+  EXPECT_EQ(codec.malformed_records(), 1u);
+  EXPECT_EQ(counter.value(), before + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +214,6 @@ TEST(SynFlood, EmbryoTimeoutReclaimsBacklogAndServiceRecovers) {
   net::TcpStack board(medium, 1);
   net::TcpStack client_host(medium, 3);
   net::TcpStack attacker_host(medium, 4);
-  board.set_syn_rcvd_timeout_ms(500);
   auto listener = board.listen(4433, /*backlog=*/4);
   ASSERT_TRUE(listener.ok());
 
@@ -245,8 +230,8 @@ TEST(SynFlood, EmbryoTimeoutReclaimsBacklogAndServiceRecovers) {
   // The flood parked embryos and overflowed the counted backlog...
   EXPECT_GT(board.syn_backlog_drops(), 0u);
   EXPECT_LE(board.half_open_count(), 4u);
-  // ...run past the timeout horizon and the embryos are reclaimed.
-  medium.tick(600);
+  // ...run past the default timeout horizon and the embryos are reclaimed.
+  medium.tick(net::TcpStack::kSynRcvdTimeoutMs + 100);
   EXPECT_GT(board.embryonic_timeouts(), 0u);
   EXPECT_EQ(board.half_open_count(), 0u);
 

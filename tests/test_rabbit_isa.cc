@@ -178,8 +178,10 @@ INSTANTIATE_TEST_SUITE_P(CarryStates, AluSweep, ::testing::Bool());
 // Rotate / shift sweep
 // ---------------------------------------------------------------------------
 
+// gtest prints the raw bytes of a RotCase into the test name; a full-word
+// opcode leaves no padding, so those bytes (and the name) are deterministic.
 struct RotCase {
-  u8 cb_op;       // CB-prefixed opcode for register B
+  u64 cb_op;      // CB-prefixed opcode for register B
   const char* name;
   u8 (*model)(u8 v, bool cin, bool& cout);
 };
@@ -225,7 +227,7 @@ TEST_P(RotSweep, AllBytesBothCarryStates) {
       m.cpu().regs().b = static_cast<u8>(v);
       m.cpu().regs().f = cin ? Flag::C : 0;
       m.mem().write_phys(0x0100, 0xCB);
-      m.mem().write_phys(0x0101, rc.cb_op);
+      m.mem().write_phys(0x0101, static_cast<u8>(rc.cb_op));
       m.cpu().step();
       bool want_c = false;
       const u8 want = rc.model(static_cast<u8>(v), cin, want_c);

@@ -493,48 +493,31 @@ TEST(ServiceBoardTest, SeededRandomCutSoakRecoversEveryTime) {
   EXPECT_GE(board.redirector()->durable_state().served, served_ok);
 }
 
-TEST(ServiceBoardTest, ResetCauseTelemetryNamesEachCauseWhenOptedIn) {
-  // Off by default: a wedge must not create per-cause counters (the E10/E15
-  // byte-identity gates depend on that).
-  ASSERT_FALSE(services::reset_cause_telemetry());
-  {
-    FaultWorld w;
-    ASSERT_TRUE(w.backend.start().is_ok());
-    services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
-    board.wedge_for_ms(600);
-    w.drive(board, nullptr, 700);
-    ASSERT_EQ(board.wdt_bites(), 1u);
-    EXPECT_EQ(telemetry::Registry::global().find_counter(
-                  "board.resets.watchdog"),
-              nullptr);
-  }
+TEST(ServiceBoardTest, ResetCauseTelemetryNamesEachCause) {
+  // Other tests in this binary fire resets of their own, so compare deltas:
+  // the per-cause counters may already exist.
+  auto& registry = telemetry::Registry::global();
+  const auto& watchdog = registry.counter("board.resets.watchdog");
+  const auto& xalloc = registry.counter("board.resets.xalloc");
+  const u64 watchdog_before = watchdog.value();
+  const u64 xalloc_before = xalloc.value();
 
-  // Opted in: the same fault now lands a named counter AND a battery-log
-  // line, so E16 can assert "zero alloc-caused restarts" by name.
-  services::set_reset_cause_telemetry(true);
-  {
-    FaultWorld w;
-    ASSERT_TRUE(w.backend.start().is_ok());
-    services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
-    board.wedge_for_ms(600);
-    w.drive(board, nullptr, 700);
-    ASSERT_EQ(board.wdt_bites(), 1u);
-    const auto* named =
-        telemetry::Registry::global().find_counter("board.resets.watchdog");
-    ASSERT_NE(named, nullptr);
-    EXPECT_GE(named->value(), 1u);
-    // Distinct causes get distinct counters: no xalloc restart happened, so
-    // its counter must not even exist.
-    EXPECT_EQ(telemetry::Registry::global().find_counter(
-                  "board.resets.xalloc"),
-              nullptr);
-    bool saw_cause_line = false;
-    for (const auto& line : board.battery().log.entries()) {
-      if (line == "reset-cause watchdog") saw_cause_line = true;
-    }
-    EXPECT_TRUE(saw_cause_line);
+  FaultWorld w;
+  ASSERT_TRUE(w.backend.start().is_ok());
+  services::ServiceBoard board(w.net, w.board_config(/*secure=*/false));
+  board.wedge_for_ms(600);
+  w.drive(board, nullptr, 700);
+  ASSERT_EQ(board.wdt_bites(), 1u);
+  // The fault lands a named counter AND a battery-log line, so E16 can
+  // assert "zero alloc-caused restarts" by name. Distinct causes get
+  // distinct counters: no xalloc restart happened, so its counter is still.
+  EXPECT_EQ(watchdog.value(), watchdog_before + 1);
+  EXPECT_EQ(xalloc.value(), xalloc_before);
+  bool saw_cause_line = false;
+  for (const auto& line : board.battery().log.entries()) {
+    if (line == "reset-cause watchdog") saw_cause_line = true;
   }
-  services::set_reset_cause_telemetry(false);
+  EXPECT_TRUE(saw_cause_line);
 }
 
 }  // namespace

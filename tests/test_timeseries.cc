@@ -390,10 +390,8 @@ std::vector<u8> bytes_of(std::string_view s) {
 }
 
 TEST(HotPathTest, NoRegistryNameLookupsAcrossWarmedHandshakes) {
-  // Latency telemetry ON: its histogram handles must be as warmed-up as
-  // every other hot-path instrument (the satellite this test pins).
-  services::set_latency_telemetry(true);
-
+  // The latency histogram handles must be as warmed-up as every other
+  // hot-path instrument.
   net::SimNet net(515);
   net::TcpStack backend_stack(net, 2);
   net::TcpStack client_stack(net, 3);
@@ -452,8 +450,6 @@ TEST(HotPathTest, NoRegistryNameLookupsAcrossWarmedHandshakes) {
   }
   // The whole point: per-handshake work resolves zero names.
   EXPECT_EQ(telemetry::Registry::global().name_lookups(), lookups_before);
-
-  services::set_latency_telemetry(false);
 }
 
 #endif  // RMC_TELEMETRY_ENABLED

@@ -215,7 +215,6 @@ TEST(TracerTest, FinWait2TimeoutGivesAbandonedHalfClosesATerminal) {
   net::SimNet medium(43);
   net::TcpStack server(medium, 1);
   net::TcpStack client(medium, 2);
-  client.set_fin_wait2_timeout_ms(500);
   ASSERT_TRUE(server.listen(80).ok());
   auto sock = client.connect(1, 80);
   ASSERT_TRUE(sock.ok());
@@ -225,10 +224,17 @@ TEST(TracerTest, FinWait2TimeoutGivesAbandonedHalfClosesATerminal) {
   ASSERT_TRUE(client.close(*sock).is_ok());
   // Let the close handshake reach FIN_WAIT_2 (FIN acked), then cut the
   // wire so the server's own FIN can never arrive.
-  for (int i = 0; i < 20; ++i) medium.tick(1);
+  for (int i = 0; i < 20 && client.state(*sock) != net::TcpState::kFinWait2;
+       ++i) {
+    medium.tick(1);
+  }
   ASSERT_EQ(client.state(*sock), net::TcpState::kFinWait2);
   medium.set_fault_plan(net::FaultPlan::uniform_loss(1.0));
-  for (int i = 0; i < 600; ++i) medium.tick(1);
+  // The default timeout holds the half-close just short of its horizon...
+  medium.tick(net::TcpStack::kFinWait2TimeoutMs - 10);
+  EXPECT_EQ(client.state(*sock), net::TcpState::kFinWait2);
+  // ...and drops it just past.
+  medium.tick(20);
   EXPECT_EQ(client.state(*sock), net::TcpState::kClosed);
   // The quiet kill emitted the terminal transition the audit needs, and
   // sent no RST (there is nobody to receive one).
