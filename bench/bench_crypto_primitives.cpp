@@ -134,7 +134,10 @@ void BM_BigNumModExp(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   const auto base = crypto::BigNum::random_bits(bits, rng);
   const auto exp = crypto::BigNum::random_bits(17, rng);  // e ~ 65537 size
-  const auto mod = crypto::BigNum::random_bits(bits, rng);
+  // Odd, like every modulus RSA and Miller-Rabin hand to modexp (and as
+  // its Montgomery form requires).
+  auto mod = crypto::BigNum::random_bits(bits, rng);
+  if (!mod.is_odd()) mod = mod + crypto::BigNum(1);
   for (auto _ : state) {
     auto r = base.modexp(exp, mod);
     benchmark::DoNotOptimize(r);

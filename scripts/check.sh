@@ -2,14 +2,17 @@
 # Pre-merge gate:
 #
 #   1. tier-1: build + ctest.
-#   2. sanitizers: ASan/UBSan builds of the soak and fault benches — E9
-#      (wire faults), E10 (board deaths), E11 (resumption), E12 (trace
-#      audit), E14 (crypto offload), E15 (hostile peers + fuzz), E16
-#      (reduced-scale slab churn in quarantine/poison mode) and E17 (SLO
-#      timeline) — so every corruption, teardown, recovery, parse and
-#      tracing path runs sanitizer-clean. The artifacts no snapshot covers
-#      double-run here for byte-reproducibility: E16's reduced-scale JSON,
-#      E12's Chrome trace + pcap, and E17's timeseries CSV.
+#   2. sanitizers: ASan/UBSan builds of test_crypto (the BigNum limb
+#      kernels, Knuth D and Montgomery, index raw limb buffers; their
+#      differential tests against the bit-serial reference run here) and
+#      of the soak and fault benches — E9 (wire faults), E10 (board
+#      deaths), E11 (resumption), E12 (trace audit), E14 (crypto offload),
+#      E15 (hostile peers + fuzz), E16 (reduced-scale slab churn in
+#      quarantine/poison mode) and E17 (SLO timeline) — so every
+#      corruption, teardown, recovery, parse and tracing path runs
+#      sanitizer-clean. The artifacts no snapshot covers double-run here
+#      for byte-reproducibility: E16's reduced-scale JSON, E12's Chrome
+#      trace + pcap, and E17's timeseries CSV.
 #   3. snapshots: scripts/run_benches.sh runs every bench (Release) into a
 #      scratch directory, and each BENCH_*.json except BENCH_CRYPTO.json
 #      (google-benchmark wall-clock) must equal its committed
@@ -44,14 +47,26 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan E9-E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_crypto + E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
-cmake --build "$san_dir" -j --target bench_fault_soak --target bench_crash_soak \
+cmake --build "$san_dir" -j --target test_crypto \
+  --target bench_fault_soak --target bench_crash_soak \
   --target bench_resumption --target bench_trace_audit \
   --target bench_crypto_offload --target bench_abuse_soak \
   --target bench_mem_churn --target bench_slo_timeline >/dev/null
+# UBSan reports are recoverable by default; halt so one fails the run.
+# Four gtest shards in parallel: single-threaded, the differential tests
+# against the bit-serial oracle take over two minutes under the sanitizers.
+shard_pids=()
+for shard in 0 1 2 3; do
+  GTEST_TOTAL_SHARDS=4 GTEST_SHARD_INDEX=$shard \
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$san_dir/tests/test_crypto" --gtest_brief=1 &
+  shard_pids+=($!)
+done
+for pid in "${shard_pids[@]}"; do wait "$pid"; done
 "$san_dir/bench/bench_fault_soak" --seed 233
 "$san_dir/bench/bench_crash_soak" --seed 233
 "$san_dir/bench/bench_resumption"

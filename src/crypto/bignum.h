@@ -4,9 +4,12 @@
 // and so E6 can price what the port gave up.
 //
 // Representation: little-endian vector of 32-bit limbs, no leading zero
-// limbs (zero is an empty vector). Operations are schoolbook; modexp is
-// square-and-multiply. Performance is adequate for the <=1024-bit keys the
-// tests and benches use.
+// limbs (zero is an empty vector). Every kernel works a limb at a time:
+// schoolbook multiply, Knuth's algorithm D for division (with a one-limb
+// fast path), and Montgomery (CIOS) multiplication for modexp, whose
+// square-and-multiply ladder runs on one limb buffer allocated per call.
+// Precondition violations (subtraction underflow, a zero or even modulus)
+// stop the program with a message in every build type.
 #pragma once
 
 #include <compare>
@@ -47,7 +50,7 @@ class BigNum {
   bool operator==(const BigNum& other) const = default;
 
   BigNum operator+(const BigNum& other) const;
-  /// Subtraction requires *this >= other (asserts otherwise).
+  /// Subtraction requires *this >= other (fail-stop otherwise).
   BigNum operator-(const BigNum& other) const;
   BigNum operator*(const BigNum& other) const;
   BigNum operator<<(std::size_t bits) const;
@@ -56,9 +59,11 @@ class BigNum {
   struct DivMod;
   /// Fails on division by zero.
   common::Result<DivMod> divmod(const BigNum& divisor) const;
-  BigNum mod(const BigNum& m) const;  // asserts m != 0
+  BigNum mod(const BigNum& m) const;  // fail-stop when m == 0
 
-  /// (this ^ exponent) mod m. Asserts m != 0.
+  /// (this ^ exponent) mod m by Montgomery multiplication. m must be odd
+  /// (fail-stop otherwise, m == 0 included); every RSA modulus, prime
+  /// factor and Miller-Rabin candidate is.
   BigNum modexp(const BigNum& exponent, const BigNum& m) const;
 
   static BigNum gcd(BigNum a, BigNum b);

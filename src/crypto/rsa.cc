@@ -17,9 +17,12 @@ RsaKeyPair rsa_generate(std::size_t bits, common::Xorshift64& rng) {
     if (BigNum::gcd(e, phi) != BigNum(1)) continue;
     auto d = BigNum::modinverse(e, phi);
     if (!d.ok()) continue;
+    auto q_inv = BigNum::modinverse(q, p);
+    if (!q_inv.ok()) continue;
     RsaKeyPair kp;
     kp.pub = RsaPublicKey{n, e};
-    kp.priv = RsaPrivateKey{n, *d};
+    kp.priv = RsaPrivateKey{n, *d, p, q, d->mod(p - BigNum(1)),
+                            d->mod(q - BigNum(1)), *q_inv};
     return kp;
   }
 }
@@ -50,18 +53,31 @@ Result<std::vector<u8>> rsa_encrypt(const RsaPublicKey& key,
   return c.to_bytes_padded(k);
 }
 
+Result<BigNum> rsa_private(const RsaPrivateKey& key, const BigNum& c) {
+  if (c >= key.n) {
+    return Status(ErrorCode::kInvalidArgument, "ciphertext out of range");
+  }
+  if (key.p.is_zero() || key.q.is_zero()) {
+    return Status(ErrorCode::kFailedPrecondition, "private key lacks CRT form");
+  }
+  // Two half-size ladders, recombined by Garner's formula:
+  // m = m2 + q * (qInv * (m1 - m2) mod p).
+  const BigNum m1 = c.modexp(key.dP, key.p);
+  const BigNum m2 = c.modexp(key.dQ, key.q);
+  const BigNum m2p = m2.mod(key.p);
+  const BigNum diff = m1 >= m2p ? m1 - m2p : m1 + key.p - m2p;
+  return m2 + key.q * (key.qInv * diff).mod(key.p);
+}
+
 Result<std::vector<u8>> rsa_decrypt(const RsaPrivateKey& key,
                                     std::span<const u8> ciphertext) {
   const std::size_t k = key.modulus_bytes();
   if (ciphertext.size() != k) {
     return Status(ErrorCode::kInvalidArgument, "ciphertext length mismatch");
   }
-  const BigNum c = BigNum::from_bytes(ciphertext);
-  if (c >= key.n) {
-    return Status(ErrorCode::kInvalidArgument, "ciphertext out of range");
-  }
-  const BigNum m = c.modexp(key.d, key.n);
-  auto eb_r = m.to_bytes_padded(k);
+  auto m = rsa_private(key, BigNum::from_bytes(ciphertext));
+  if (!m.ok()) return m.status();
+  auto eb_r = m->to_bytes_padded(k);
   if (!eb_r.ok()) return eb_r.status();
   const std::vector<u8>& eb = *eb_r;
   if (eb.size() < 11 || eb[0] != 0x00 || eb[1] != 0x02) {

@@ -21,7 +21,13 @@ struct RsaPublicKey {
 
 struct RsaPrivateKey {
   BigNum n;
-  BigNum d;  // private exponent
+  BigNum d;  // private exponent (prices the board's modexp, see issl)
+  // CRT form of d: the private operation runs two half-size ladders,
+  // m1 = c^dP mod p and m2 = c^dQ mod q, and recombines them (Garner).
+  BigNum p, q;   // prime factors, n = p * q
+  BigNum dP;     // d mod (p - 1)
+  BigNum dQ;     // d mod (q - 1)
+  BigNum qInv;   // q^-1 mod p
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 };
 
@@ -39,6 +45,10 @@ RsaKeyPair rsa_generate(std::size_t bits, common::Xorshift64& rng);
 common::Result<std::vector<u8>> rsa_encrypt(const RsaPublicKey& key,
                                             std::span<const u8> message,
                                             common::Xorshift64& rng);
+
+/// The raw private operation c^d mod n, computed by CRT from the key's
+/// p, q, dP, dQ and qInv. Fails when c >= n or the key lacks its CRT form.
+common::Result<BigNum> rsa_private(const RsaPrivateKey& key, const BigNum& c);
 
 /// Inverse of rsa_encrypt; fails on bad padding (wrong key / corrupt data).
 common::Result<std::vector<u8>> rsa_decrypt(const RsaPrivateKey& key,

@@ -35,6 +35,14 @@ enum class Backend {
 
 const char* backend_name(Backend b);
 
+/// RSA modulus bounds, shared by the server's Config::valid() and the
+/// client's check of the public key a ServerHello carries. PKCS#1 type-2
+/// needs 11 bytes of framing, so below a 12-byte (96-bit) modulus the
+/// premaster cannot carry a single byte. The ceiling caps the modexp a
+/// hostile server can make a client run.
+inline constexpr std::size_t kMinRsaModulusBits = 96;
+inline constexpr std::size_t kMaxRsaModulusBits = 4096;
+
 struct Config {
   KeyExchange key_exchange = KeyExchange::kRsa;
   std::size_t aes_key_bits = 128;  // 128 / 192 / 256
@@ -75,10 +83,11 @@ struct Config {
     if (aes_key_bits != 128 && aes_key_bits != 192 && aes_key_bits != 256) {
       return false;
     }
-    // PKCS#1 type-2 needs 11 bytes of framing; below a 12-byte (96-bit)
-    // modulus the premaster cannot carry a single byte. Reject at
-    // construction instead of failing mid-handshake.
-    if (key_exchange == KeyExchange::kRsa && rsa_modulus_bits < 96) {
+    // Reject an out-of-bounds modulus at construction instead of failing
+    // mid-handshake.
+    if (key_exchange == KeyExchange::kRsa &&
+        (rsa_modulus_bits < kMinRsaModulusBits ||
+         rsa_modulus_bits > kMaxRsaModulusBits)) {
       return false;
     }
     // The offload engine is AES-128 only (like the paper's embedded port).

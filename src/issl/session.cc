@@ -560,14 +560,20 @@ Status Session::on_server_hello(std::span<const u8> body) {
       return Status(ErrorCode::kAborted, "bad pubkey");
     }
     pub.e = crypto::BigNum::from_bytes(rest.subspan(4 + n_len, e_len));
+    // The key is the server's to choose, so bound it before computing with
+    // it: an odd modulus (as Montgomery modexp requires) of at most
+    // kMaxRsaModulusBits and at least the 12 bytes PKCS#1 needs to carry a
+    // seed, and an odd exponent in (1, n). Anything else would hand a
+    // hostile server an unbounded modexp on the client. The floor is in
+    // bytes because a key generated for kMinRsaModulusBits may come out
+    // one bit short.
+    if (!pub.n.is_odd() || pub.modulus_bytes() < kMinRsaModulusBits / 8 ||
+        pub.n.bit_length() > kMaxRsaModulusBits || !pub.e.is_odd() ||
+        pub.e <= crypto::BigNum(1) || pub.e >= pub.n) {
+      return Status(ErrorCode::kAborted, "bad pubkey");
+    }
     server_pubkey_ = pub;
 
-    // PKCS#1 caps the message at modulus_bytes - 11. A modulus too small
-    // to carry even a seed is a configuration error, reported as such.
-    if (pub.modulus_bytes() < 12) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "RSA modulus too small to carry a premaster seed");
-    }
     premaster_.resize(kPremasterBytes);
     rng_->fill(premaster_);
     const std::size_t max_chunk = pub.modulus_bytes() - 11;

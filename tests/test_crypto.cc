@@ -1,8 +1,11 @@
 // Crypto tests: FIPS-197 known answers for AES (all key sizes, both
 // implementations), RFC 3174 / RFC 2202 vectors for SHA-1 / HMAC-SHA1,
-// property tests for modes and bignum, and RSA round trips.
+// property tests for modes and bignum, the word-level bignum kernels held to
+// the bit-serial reference, fail-stop preconditions, and RSA round trips,
+// pinned keys and the CRT private operation.
 #include <gtest/gtest.h>
 
+#include "bignum_reference.h"
 #include "common/bytes.h"
 #include "common/prng.h"
 #include "crypto/aes.h"
@@ -16,7 +19,10 @@ namespace {
 
 using common::from_hex;
 using common::to_hex;
+using common::u32;
+using common::u64;
 using common::u8;
+namespace ref = reference;
 
 // ---------------------------------------------------------------------------
 // GF(2^8) / S-box
@@ -66,10 +72,16 @@ TEST(Sbox, IsPermutation) {
 // ---------------------------------------------------------------------------
 
 struct AesKat {
+  const char* name;
   const char* key;
   const char* plain;
   const char* cipher;
 };
+
+// Print a case by name. gtest's default dumps the struct's bytes, which are
+// string addresses that move with ASLR, so the test names ctest discovers
+// would change from one build to the next.
+void PrintTo(const AesKat& kat, std::ostream* os) { *os << kat.name; }
 
 class AesKnownAnswer : public ::testing::TestWithParam<AesKat> {};
 
@@ -100,18 +112,20 @@ TEST_P(AesKnownAnswer, FastMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Fips197, AesKnownAnswer,
     ::testing::Values(
-        AesKat{"000102030405060708090a0b0c0d0e0f",
+        AesKat{"AES128_C1", "000102030405060708090a0b0c0d0e0f",
                "00112233445566778899aabbccddeeff",
                "69c4e0d86a7b0430d8cdb78070b4c55a"},
-        AesKat{"000102030405060708090a0b0c0d0e0f1011121314151617",
+        AesKat{"AES192_C2",
+               "000102030405060708090a0b0c0d0e0f1011121314151617",
                "00112233445566778899aabbccddeeff",
                "dda97ca4864cdfe06eaf70a0ec0d7191"},
-        AesKat{"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1"
+        AesKat{"AES256_C3",
+               "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1"
                "d1e1f",
                "00112233445566778899aabbccddeeff",
                "8ea2b7ca516745bfeafc49904b496089"},
         // FIPS-197 Appendix B worked example.
-        AesKat{"2b7e151628aed2a6abf7158809cf4f3c",
+        AesKat{"AES128_B", "2b7e151628aed2a6abf7158809cf4f3c",
                "3243f6a8885a308d313198a2e0370734",
                "3925841d02dc09fbdc118597196a0b32"}));
 
@@ -418,6 +432,172 @@ TEST(BigNumTest, GeneratePrimeHasRequestedWidth) {
 }
 
 // ---------------------------------------------------------------------------
+// BigNum kernels vs the bit-serial reference (tests/bignum_reference.h)
+// ---------------------------------------------------------------------------
+
+BigNum hex(std::string_view h) { return BigNum::from_hex(h).value(); }
+
+// An operand of exactly `bits` bits. Half the draws are uniform. The other
+// half build every limb from the values where carries, borrows and the
+// Knuth-D quotient estimate go wrong: 0, 1, 0x7FFFFFFF, 0x80000000,
+// 0xFFFFFFFE and 0xFFFFFFFF.
+BigNum operand(std::size_t bits, common::Xorshift64& rng) {
+  if (rng.next() & 1) return BigNum::random_bits(bits, rng);
+  static constexpr u32 kEdges[] = {0,          1,          0x7FFFFFFF,
+                                   0x80000000, 0xFFFFFFFE, 0xFFFFFFFF};
+  const std::size_t limbs = (bits + 31) / 32;
+  const std::size_t top_bits = bits - 32 * (limbs - 1);
+  const u64 top_mask = (u64{1} << top_bits) - 1;
+  BigNum out((kEdges[rng.next_below(6)] & top_mask) |
+             (u64{1} << (top_bits - 1)));
+  for (std::size_t i = 1; i < limbs; ++i) {
+    out = (out << 32) + BigNum(kEdges[rng.next_below(6)]);
+  }
+  return out;
+}
+
+void expect_divmod_matches_reference(const BigNum& a, const BigNum& m) {
+  SCOPED_TRACE("a=" + a.to_hex() + " m=" + m.to_hex());
+  const auto dm = a.divmod(m);
+  ASSERT_TRUE(dm.ok());
+  const auto want = ref::divmod(a, m);
+  EXPECT_EQ(dm->quotient, want.quotient);
+  EXPECT_EQ(dm->remainder, want.remainder);
+  EXPECT_EQ(a.mod(m), want.remainder);
+}
+
+class BigNumDifferential : public ::testing::TestWithParam<int> {};
+
+// 8 shards x 250 = 2,000 seeded operand pairs of 1..1,100 bits; sharded so
+// ctest runs them in parallel.
+TEST_P(BigNumDifferential, KernelsAgreeWithBitSerialReference) {
+  common::Xorshift64 rng(0xB16B00B5ull + static_cast<u64>(GetParam()));
+  for (int i = 0; i < 250; ++i) {
+    const BigNum a = operand(1 + rng.next_below(1100), rng);
+    const BigNum b = operand(1 + rng.next_below(1100), rng);
+    const BigNum m = operand(1 + rng.next_below(1100), rng);
+    const BigNum e = operand(1 + rng.next_below(24), rng);
+    SCOPED_TRACE("pair " + std::to_string(i));
+    const BigNum product = a * b;
+    ASSERT_EQ(product, ref::mul(a, b));
+    expect_divmod_matches_reference(a, b);
+    // The product over a third operand gives quotients of up to 69 limbs.
+    expect_divmod_matches_reference(product, m);
+    const BigNum odd = m.is_odd() ? m : m + BigNum(1);
+    ASSERT_EQ(a.modexp(e, odd), ref::modexp(a, e, odd))
+        << "a=" << a.to_hex() << " e=" << e.to_hex() << " m=" << odd.to_hex();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, BigNumDifferential, ::testing::Range(0, 8));
+
+TEST(BigNumEdges, LimbBoundaryValuesAgreeWithReference) {
+  const std::vector<BigNum> moduli = {
+      hex("1"), hex("2"), hex("3"), hex("ffffffff"), hex("100000000"),
+      hex("100000001"),
+      // Top limb 0x80000000 and 0xFFFFFFFF: Knuth D's normalising shift is
+      // zero, so the divisor is used as is.
+      hex("8000000000000001"), hex("800000000000000000000000"),
+      hex("80000000ffffffff00000001"), hex("ffffffffffffffff"),
+      hex("ffffffff00000000ffffffff"),
+      hex("ffffffffffffffffffffffffffffffffffffffff"),
+      // One bit into a new limb, and a second limb of zero.
+      hex("1ffffffff"), hex("10000000000000001"),
+      hex("1" + std::string(256, '0') + "1")};
+  for (const BigNum& m : moduli) {
+    const BigNum m_minus_1 = m - BigNum(1);
+    const BigNum ones = (BigNum(1) << (m.bit_length() + 64)) - BigNum(1);
+    const std::vector<BigNum> values = {
+        BigNum(0), BigNum(1), m_minus_1, m, m + BigNum(1), m + m_minus_1,
+        m + m, m * m - BigNum(1), m * m, (m << 32) - BigNum(1), ones};
+    for (const BigNum& a : values) {
+      expect_divmod_matches_reference(a, m);
+      if (!m.is_odd()) continue;
+      for (const BigNum& e : {BigNum(0), BigNum(1), BigNum(2), BigNum(65537),
+                              m_minus_1}) {
+        EXPECT_EQ(a.modexp(e, m), ref::modexp(a, e, m))
+            << "a=" << a.to_hex() << " e=" << e.to_hex()
+            << " m=" << m.to_hex();
+      }
+    }
+  }
+}
+
+TEST(BigNumEdges, CarriesAndBorrowsCrossLimbs) {
+  for (std::size_t limbs = 1; limbs <= 9; ++limbs) {
+    const BigNum pow = BigNum(1) << (32 * limbs);
+    const BigNum ones = pow - BigNum(1);
+    EXPECT_EQ(ones + BigNum(1), pow);
+    EXPECT_EQ(pow - ones, BigNum(1));
+    EXPECT_EQ((ones + ones) - ones, ones);
+    EXPECT_EQ(ones * ones, ref::mul(ones, ones));
+    EXPECT_EQ(ones * ones, pow * pow - pow - pow + BigNum(1));
+    EXPECT_EQ(ones.bit_length(), 32 * limbs);
+    EXPECT_EQ(pow.bit_length(), 32 * limbs + 1);
+  }
+}
+
+TEST(BigNumEdges, KnuthAddBackCasesAgreeWithReference) {
+  // Dividends whose trial quotient digit survives the two-limb correction
+  // yet is one too big, so algorithm D must add the divisor back (step D6).
+  // Among uniform operands that happens with probability about 2^-31 per
+  // quotient limb, so random tests would never reach it.
+  const std::pair<const char*, const char*> cases[] = {
+      {"00007fff000080000000000000000000", "000080000000000000000001"},
+      {"00008000000000000000fffe00000000", "00008000000000000000ffff"},
+      {"8000000000000000fffffffe00000000", "8000000000000000ffffffff"},
+      {"7fffffff800000000000000000000000", "800000000000000000000001"},
+      {"800000000000000000000003", "200000000000000000000001"},
+  };
+  for (const auto& [u, v] : cases) {
+    const BigNum a = hex(u), m = hex(v);
+    expect_divmod_matches_reference(a, m);
+    const auto dm = a.divmod(m);
+    ASSERT_TRUE(dm.ok());
+    EXPECT_EQ(dm->quotient * m + dm->remainder, a);
+  }
+}
+
+TEST(BigNumTest, FromBytesAndHexPackLimbs) {
+  common::Xorshift64 rng(44);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::vector<u8> be(len);
+    rng.fill(be);
+    // The byte-at-a-time definition, through operations the packing
+    // rewrite did not touch.
+    BigNum want;
+    for (u8 b : be) want = (want << 8) + BigNum(b);
+    EXPECT_EQ(BigNum::from_bytes(be), want);
+    EXPECT_EQ(hex(len ? to_hex(be) : "0"), want);
+  }
+  EXPECT_EQ(hex(" 1 2\n34 "), BigNum(0x1234));
+  EXPECT_EQ(hex("000000000000000000ABCDEF"), BigNum(0xABCDEF));
+  EXPECT_FALSE(BigNum::from_hex("12g4").ok());
+}
+
+// Death tests run the statement in a child; the check must fire the same in
+// Release (NDEBUG) as in Debug.
+TEST(BigNumDeathTest, SubtractionUnderflowStops) {
+  EXPECT_DEATH((void)(BigNum(1) - BigNum(2)), "subtraction underflow");
+  EXPECT_DEATH((void)((BigNum(1) << 64) - (BigNum(1) << 65)),
+               "subtraction underflow");
+}
+
+TEST(BigNumDeathTest, ModByZeroStops) {
+  EXPECT_DEATH((void)BigNum(5).mod(BigNum(0)), "mod by zero");
+}
+
+TEST(BigNumDeathTest, ModExpByZeroModulusStops) {
+  EXPECT_DEATH((void)BigNum(5).modexp(BigNum(3), BigNum(0)), "zero modulus");
+}
+
+TEST(BigNumDeathTest, ModExpByEvenModulusStops) {
+  EXPECT_DEATH((void)BigNum(5).modexp(BigNum(3), BigNum(10)), "odd modulus");
+  EXPECT_DEATH((void)BigNum(5).modexp(BigNum(3), BigNum(1) << 100),
+               "odd modulus");
+}
+
+// ---------------------------------------------------------------------------
 // RSA
 // ---------------------------------------------------------------------------
 
@@ -476,6 +656,118 @@ TEST(Rsa, TamperedCiphertextRejectedOrGarbage) {
   if (pt.ok()) {
     EXPECT_NE(*pt, msg);
   }
+}
+
+// rsa_generate output recorded from the bit-serial BigNum that preceded
+// the word-level kernels. `next` is the PRNG's next draw after generation,
+// so the pin covers how many values key generation consumed, not only what
+// it produced: every seeded artifact downstream depends on both.
+struct PinnedKey {
+  u64 seed;
+  std::size_t bits;
+  const char* n;
+  const char* d;
+  u64 next;
+};
+
+constexpr PinnedKey kPinnedKeys[] = {
+    {1, 256, "753022c30d05820fa19fd98660b08b9f19400ec518aa31ee3bcdf22ba67d1f0b",
+     "2652af8b89de9b41f1610d09dce4df439bfe34240d58d8a8a75eace0ad049a01",
+     14412644477054272666ull},
+    {1, 512,
+     "79f6bcd4dbf85f81862dc7ecb71fad445c5d280790b9631a2169c95dbdc3aeea7000c64a"
+     "edbf06482480f7a8b1d2d238e09521ac951a9a823b10cce7d2a7923f",
+     "4915400bf11000f2d55b838c662336295b8b7adc25ade1239c580e90fc9050b4551a8b26"
+     "57f25dec198e36879464655cc3991f5b03066224247201db6d07c581",
+     3423216047283116374ull},
+    {1, 768,
+     "957d47de39b2ce85d47f472d8ee557ada65ef20f6d3414cb739e6ddb10cb749f1a4b5694"
+     "56685004aa5eb0a51cadfae480a3ed250e187199c8653d014ad66934e8046ef1bb60fbfb"
+     "d22785b0601895736c67e0f52f4c1302d950f97f61fb1459",
+     "1d3cdd9b9749639f454a878f5f8d77b29d01a0f267777241c0a151f730b7ba5d8bf50440"
+     "0b0e67e821b2577653bfab7c4d2acbf9e4cce4701d0b8c354ec5f1d2b801fdf7c532d8cc"
+     "9110b8513e990bca420cd194fa56fdb1f36e44aa9bf6f189",
+     3300802705385776275ull},
+    {2, 256, "895eb953e73e87441047583ff80beec103110a2e41726ad216191374e5c1137d",
+     "66c390fade7c1d6ee28aaccf35fd9f3e698947c629406c268495ab1a3372e3b5",
+     13508120609189352305ull},
+    {2, 512,
+     "c856945846552c72b034aa4d0b349e055c28505e1aa0a22db60702f5e9e7d8aa05e2ad81"
+     "5c301b7ce0e45d5852faf6089964bb86890863404d31ba292aca2189",
+     "341d1189c501f306028030acc9f56e05c6eb55bca500942f7fe2630ac545e23e21fc5bbc"
+     "438d802b0dbd4b9a90fa324ea2f9d76cfceec0ffb842e6f23f896181",
+     8483041857025135245ull},
+    {2, 768,
+     "937ab6035ccc35f727710d5fb74bd4bc9d70b770faf184309e64630fc524955f41bc995d"
+     "0aa55d9d8e3661825e5354842351d87860ffbc671615029bb23b60b9e4d7f4a12973c9e9"
+     "31bc72d1ff5ce1924fd16780f68dcbe833b62ca1abd54991",
+     "69e951375ef844b526fd1866a9c2ea973dd5c9d7784fe3e7ea881b6022eb1fde95ddf4a1"
+     "8dd8ae3f4cf71ed5ba19cbf22dec59d2d3355957f34f08487c0bdc4ba16914f72961f245"
+     "ae06c045d8c31b2fcca27e6d3be0729aa3b6a7265761e401",
+     16414578848537572340ull},
+    {3, 256, "8a1e442941cf32face4857d0efad94a0bd8fafa39d5760b3ad2d4b00ff61a6b1",
+     "821ca50560b37a48ff0ef37b266e94f5b6b329432f847906254b6973788f3d09",
+     11402827437177565937ull},
+    {3, 512,
+     "6069968cda04509df05282128e99fa328fa111fe4fb26f9725dab794c7009a9431ec5d8b"
+     "b843ea6058a51168dff570044c6ee3d4a014b02eadb89169a498a0e5",
+     "4d38c54913e698dba7fdae094706b58b81d7351e489f5719ed4bfdf6c05e0f70dfcf3caa"
+     "ecdabf61ee21ce80a8cc0d3feb3a39df1b3aa7a9800d45ff9bd40b81",
+     2746844002812194323ull},
+    {3, 768,
+     "93a069ff16999040dadf2c79f67e436db3e67f6810912bf53fc877dfd55ce24044641e72"
+     "fa6b1e2eb8fde0804786b8476f4ade80d3a867d305e793bf7fafe0cb9dcfaf8a96bfc488"
+     "8e5050123aec006064e8c7b6a96fa9273608cf51766a5701",
+     "8f5ccd12e843a10f1a7e7896c885bdbd9f634c7f26f79414cb2847219bf663d1bd98ece9"
+     "03bf5ac44cea5f46b42f646c9f52d2fe46f8e0119ed7268206d70012fa3955f95b6f1023"
+     "e00faa8a7b9f8eeba22f7311001e4cf373d62f757b95c401",
+     6748388428902590724ull},
+};
+
+TEST(Rsa, KeyGenerationReproducesPinnedKeys) {
+  for (const PinnedKey& pin : kPinnedKeys) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed) + ", " +
+                 std::to_string(pin.bits) + " bits");
+    common::Xorshift64 rng(pin.seed);
+    const RsaKeyPair kp = rsa_generate(pin.bits, rng);
+    EXPECT_EQ(kp.pub.n.to_hex(), pin.n);
+    EXPECT_EQ(kp.priv.d.to_hex(), pin.d);
+    EXPECT_EQ(rng.next(), pin.next);
+    // The CRT form describes the same key.
+    const RsaPrivateKey& k = kp.priv;
+    EXPECT_EQ(k.p * k.q, k.n);
+    EXPECT_EQ(k.dP, k.d.mod(k.p - BigNum(1)));
+    EXPECT_EQ(k.dQ, k.d.mod(k.q - BigNum(1)));
+    EXPECT_EQ((k.qInv * k.q).mod(k.p), BigNum(1));
+  }
+}
+
+TEST(Rsa, CrtPrivateOperationMatchesReference) {
+  common::Xorshift64 rng(0xC47);
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t bits = 96 + 32 * static_cast<std::size_t>(i % 6);
+    const RsaKeyPair kp = rsa_generate(bits, rng);
+    SCOPED_TRACE("key " + std::to_string(i) + ": n=" + kp.pub.n.to_hex());
+    const BigNum& n = kp.pub.n;
+    // The extremes of [0, n) plus one uniform ciphertext per key.
+    for (const BigNum& c : {BigNum(0), BigNum(1), n - BigNum(1),
+                            BigNum::random_below(n, rng)}) {
+      const auto m = rsa_private(kp.priv, c);
+      ASSERT_TRUE(m.ok()) << m.status().to_string();
+      EXPECT_EQ(*m, ref::modexp(c, kp.priv.d, n)) << "c=" << c.to_hex();
+      EXPECT_EQ(m->modexp(kp.pub.e, n), c);
+    }
+  }
+}
+
+TEST(Rsa, PrivateOperationRejectsOutOfRangeAndKeysWithoutCrtForm) {
+  common::Xorshift64 rng(106);
+  const RsaKeyPair kp = rsa_generate(256, rng);
+  EXPECT_EQ(rsa_private(kp.priv, kp.pub.n).status().code(),
+            common::ErrorCode::kInvalidArgument);
+  const RsaPrivateKey bare{kp.priv.n, kp.priv.d, {}, {}, {}, {}, {}};
+  EXPECT_EQ(rsa_private(bare, BigNum(2)).status().code(),
+            common::ErrorCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // close semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "issl/issl.h"
 #include "net/simnet.h"
 #include "net/tcp.h"
@@ -14,6 +16,7 @@ namespace rmc::issl {
 namespace {
 
 using common::ErrorCode;
+using common::Status;
 using common::u8;
 using net::IpAddr;
 using net::Port;
@@ -516,6 +519,18 @@ TEST(ConfigTest, RejectsRsaModulusBelowPremasterFloor) {
   EXPECT_TRUE(cfg.valid());
 }
 
+TEST(ConfigTest, RejectsRsaModulusAboveClientCeiling) {
+  // Server and client share kMaxRsaModulusBits: a server configured past it
+  // would only produce keys every client refuses.
+  Config cfg = Config::unix_default();
+  cfg.rsa_modulus_bits = kMaxRsaModulusBits;
+  EXPECT_TRUE(cfg.valid());
+  cfg.rsa_modulus_bits = kMaxRsaModulusBits + 1;
+  EXPECT_FALSE(cfg.valid());
+  cfg.key_exchange = KeyExchange::kPsk;
+  EXPECT_TRUE(cfg.valid());
+}
+
 TEST(ConfigTest, RejectsEngineBackendWithWideKeys) {
   Config cfg = Config::embedded_port();
   cfg.backend = Backend::kEngine;
@@ -730,6 +745,146 @@ TEST(SessionTest, TinyRsaModulusFailsClearlyInsteadOfTruncating) {
   EXPECT_FALSE(h.drive(client, server, 200));
   EXPECT_TRUE(client.failed());
   EXPECT_EQ(client.error().code(), ErrorCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// The client bounds the RSA public key a ServerHello carries
+// ---------------------------------------------------------------------------
+
+// One plaintext handshake record holding a ServerHello for unix_default()
+// (RSA, AES-256) with public key (n, e) as raw big-endian bytes.
+std::vector<u8> server_hello_record(std::span<const u8> n,
+                                    std::span<const u8> e) {
+  std::vector<u8> body(32, 0x5A);  // server_random
+  body.push_back(static_cast<u8>(KeyExchange::kRsa));
+  body.push_back(256 / 8);
+  for (std::span<const u8> field : {n, e}) {
+    body.push_back(static_cast<u8>(field.size() >> 8));
+    body.push_back(static_cast<u8>(field.size()));
+    body.insert(body.end(), field.begin(), field.end());
+  }
+  std::vector<u8> msg = {2 /* ServerHello */, static_cast<u8>(body.size() >> 8),
+                         static_cast<u8>(body.size())};
+  msg.insert(msg.end(), body.begin(), body.end());
+  std::vector<u8> record = {static_cast<u8>(RecordType::kHandshake),
+                            kIsslVersion, static_cast<u8>(msg.size() >> 8),
+                            static_cast<u8>(msg.size())};
+  record.insert(record.end(), msg.begin(), msg.end());
+  return record;
+}
+
+// Handshake message types in the client's plaintext output records.
+std::vector<u8> handshake_types_sent(const std::vector<u8>& wire) {
+  std::vector<u8> types;
+  for (std::size_t at = 0; at + kRecordHeaderBytes <= wire.size();) {
+    const std::size_t len = (std::size_t{wire[at + 2]} << 8) | wire[at + 3];
+    if (wire[at] == static_cast<u8>(RecordType::kHandshake) && len > 0) {
+      types.push_back(wire[at + kRecordHeaderBytes]);
+    }
+    at += kRecordHeaderBytes + len;
+  }
+  return types;
+}
+
+struct HelloOutcome {
+  Status error;
+  bool sent_key_exchange = false;
+};
+
+// A unix_default() client answered by one crafted ServerHello.
+HelloOutcome answer_client_with(const crypto::BigNum& n,
+                                std::span<const u8> e) {
+  PipeStream c2s, s2c;
+  HalfStream client_end(c2s, s2c);
+  common::Xorshift64 rng(41);
+  auto client = issl_bind_client(client_end, Config::unix_default(), rng);
+  (void)client.pump();  // ClientHello out
+  const auto n_bytes = n.to_bytes();
+  const auto record = server_hello_record(n_bytes, e);
+  s2c.buf_.insert(s2c.buf_.end(), record.begin(), record.end());
+  for (int i = 0; i < 8; ++i) (void)client.pump();
+  const auto types = handshake_types_sent(c2s.buf_);
+  return {client.failed() ? client.error() : Status::ok(),
+          std::find(types.begin(), types.end(), 3 /* ClientKeyExchange */) !=
+              types.end()};
+}
+
+TEST(ServerKeyBounds, WellFormedKeysAtBothModulusLimitsGetAKeyExchange) {
+  // The positive control: the harness sees a ClientKeyExchange when the
+  // key is acceptable, so its absence below means a refusal.
+  // 89 bits is the narrowest 12-byte modulus: a key generated for the
+  // 96-bit floor can come out one bit short, and must still be accepted.
+  const auto e = crypto::BigNum(65537).to_bytes();
+  for (std::size_t bits : {std::size_t{89}, kMinRsaModulusBits,
+                           std::size_t{256}, kMaxRsaModulusBits}) {
+    const crypto::BigNum n =
+        (crypto::BigNum(1) << (bits - 1)) + crypto::BigNum(0x10001);
+    const auto out = answer_client_with(n, e);
+    EXPECT_TRUE(out.error.is_ok()) << bits << ": " << out.error.to_string();
+    EXPECT_TRUE(out.sent_key_exchange) << bits;
+  }
+}
+
+// A real 256-bit modulus for the refusals that are about e, or about n's
+// parity next to a real one.
+const crypto::BigNum& real_modulus() {
+  static const crypto::BigNum n = [] {
+    common::Xorshift64 keygen(43);
+    return crypto::rsa_generate(256, keygen).pub.n;
+  }();
+  return n;
+}
+
+void expect_bad_pubkey(const crypto::BigNum& n, std::span<const u8> e) {
+  const auto out = answer_client_with(n, e);
+  EXPECT_EQ(out.error.code(), ErrorCode::kAborted) << out.error.to_string();
+  EXPECT_EQ(out.error.message(), "bad pubkey");
+  EXPECT_FALSE(out.sent_key_exchange);
+}
+
+TEST(ServerKeyBounds, EvenModulusRefused) {
+  expect_bad_pubkey(real_modulus() + crypto::BigNum(1),
+                    crypto::BigNum(65537).to_bytes());
+}
+
+TEST(ServerKeyBounds, ModulusBelowTwelveBytesRefused) {
+  // 88 bits = 11 bytes: PKCS#1 framing alone fills it.
+  const crypto::BigNum n_88_bits =
+      (crypto::BigNum(1) << 87) + crypto::BigNum(0x10001);
+  expect_bad_pubkey(n_88_bits, crypto::BigNum(65537).to_bytes());
+}
+
+TEST(ServerKeyBounds, ModulusPastTheCeilingRefused) {
+  const crypto::BigNum n_4104_bits =
+      (crypto::BigNum(1) << 4103) + crypto::BigNum(1);
+  expect_bad_pubkey(n_4104_bits, crypto::BigNum(65537).to_bytes());
+}
+
+TEST(ServerKeyBounds, UnitExponentRefused) {
+  expect_bad_pubkey(real_modulus(), crypto::BigNum(1).to_bytes());
+}
+
+TEST(ServerKeyBounds, ExponentEqualToModulusRefused) {
+  expect_bad_pubkey(real_modulus(), real_modulus().to_bytes());
+}
+
+TEST(ServerKeyBounds, EvenExponentRefused) {
+  expect_bad_pubkey(real_modulus(), crypto::BigNum(65536).to_bytes());
+}
+
+TEST(ServerKeyBounds, WidestExponentTheHandshakeBodyCarriesRefused) {
+  // 1,900 bytes of 0xFF fit under kMaxHandshakeBody, so the key check
+  // itself (e < n) is what refuses this one.
+  expect_bad_pubkey(real_modulus(), std::vector<u8>(1900, 0xFF));
+}
+
+TEST(ServerKeyBounds, EightKibExponentRefused) {
+  // The ServerHello outgrows kMaxHandshakeBody, so the handshake framing
+  // refuses it ("oversized handshake message") before the key is parsed.
+  const auto out =
+      answer_client_with(real_modulus(), std::vector<u8>(8 * 1024, 0xFF));
+  EXPECT_EQ(out.error.code(), ErrorCode::kAborted) << out.error.to_string();
+  EXPECT_FALSE(out.sent_key_exchange);
 }
 
 }  // namespace
