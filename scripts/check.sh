@@ -4,22 +4,27 @@
 #   1. tier-1: build + ctest.
 #   2. sanitizers: ASan/UBSan builds of test_crypto (the BigNum limb
 #      kernels, Knuth D and Montgomery, index raw limb buffers; their
-#      differential tests against the bit-serial reference run here) and
-#      of the soak and fault benches — E9 (wire faults), E10 (board
-#      deaths), E11 (resumption), E12 (trace audit), E14 (crypto offload),
-#      E15 (hostile peers + fuzz), E16 (reduced-scale slab churn in
-#      quarantine/poison mode) and E17 (SLO timeline) — so every
+#      differential tests against the bit-serial reference run here), of
+#      test_net and test_edges (the TCP tick list and demultiplexing
+#      indexes, erased while lookups run, and the 16k-connect port-wrap
+#      test), and of the soak and fault benches — E9 (wire faults), E10
+#      (board deaths), E11 (resumption), E12 (trace audit), E14 (crypto
+#      offload), E15 (hostile peers + fuzz), E16 (reduced-scale slab churn
+#      in quarantine/poison mode) and E17 (SLO timeline) — so every
 #      corruption, teardown, recovery, parse and tracing path runs
-#      sanitizer-clean. The artifacts no snapshot covers double-run here
-#      for byte-reproducibility: E16's reduced-scale JSON, E12's Chrome
-#      trace + pcap, and E17's timeseries CSV.
+#      sanitizer-clean. E16's reduced-scale JSON, E12's Chrome trace +
+#      pcap, and E17's timeseries CSV double-run here for
+#      byte-reproducibility.
 #   3. snapshots: scripts/run_benches.sh runs every bench (Release) into a
 #      scratch directory, and each BENCH_*.json except BENCH_CRYPTO.json
 #      (google-benchmark wall-clock) must equal its committed
 #      bench/snapshots/ counterpart byte for byte, host_ms stripped from
-#      both sides. A bench without a committed snapshot fails. A deliberate
-#      behaviour change refreshes the snapshots in the same change, so the
-#      rebaseline is a diff a reviewer reads.
+#      both sides. A bench without a committed snapshot fails. The E12
+#      trace and pcap and the E17 CSV, too large to commit, must match the
+#      SHA-256 digests in bench/snapshots/ARTIFACTS.sha256. A deliberate
+#      behaviour change refreshes the snapshots (and, if those three
+#      artifacts move, the digests) in the same change, so the rebaseline
+#      lands as a readable diff.
 #   4. dispatch matrix: the same E1/E9 run under RMC_DISPATCH=legacy must
 #      equal the snapshot too (step 3 ran the default fast interpreter).
 #
@@ -47,11 +52,12 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan test_crypto + E9-E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_crypto/net/edges + E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
 cmake --build "$san_dir" -j --target test_crypto \
+  --target test_net --target test_edges \
   --target bench_fault_soak --target bench_crash_soak \
   --target bench_resumption --target bench_trace_audit \
   --target bench_crypto_offload --target bench_abuse_soak \
@@ -67,6 +73,10 @@ for shard in 0 1 2 3; do
   shard_pids+=($!)
 done
 for pid in "${shard_pids[@]}"; do wait "$pid"; done
+for t in test_net test_edges; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$san_dir/tests/$t" --gtest_brief=1
+done
 "$san_dir/bench/bench_fault_soak" --seed 233
 "$san_dir/bench/bench_crash_soak" --seed 233
 "$san_dir/bench/bench_resumption"
@@ -133,11 +143,15 @@ for fresh in "$tmp/benches"/BENCH_*.json; do
     echo "$id: matches snapshot"
   fi
 done
+# sha256sum names each file, OK or FAILED.
+if ! (cd "$tmp/benches" && sha256sum -c "$snap_dir/ARTIFACTS.sha256"); then
+  failed+=(ARTIFACTS.sha256)
+fi
 if ((${#failed[@]})); then
   echo "snapshot gate FAILED for: ${failed[*]}" >&2
   exit 1
 fi
-echo "$compared artifacts match bench/snapshots"
+echo "$compared artifacts + ARTIFACTS.sha256 match bench/snapshots"
 
 echo
 echo "== dispatch matrix: RMC_DISPATCH=legacy E1/E9 == snapshot =="

@@ -1,6 +1,7 @@
 #include "net/tcp.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -84,26 +85,24 @@ const TcpStack::Tcb* TcpStack::find(int sock) const {
   return it == socks_.end() ? nullptr : &it->second;
 }
 
-int TcpStack::find_connection(IpAddr rip, Port rport, Port lport) const {
-  for (const auto& [id, tcb] : socks_) {
-    if (tcb.state != TcpState::kListen && tcb.state != TcpState::kClosed &&
-        tcb.remote_ip == rip && tcb.remote_port == rport &&
-        tcb.local_port == lport) {
-      return id;
-    }
-  }
-  return -1;
+void TcpStack::index_connection(int id, const Tcb& tcb) {
+  const bool fresh = conns_.emplace(tuple_key(tcb), id).second;
+  assert(fresh && "two live connections on one 4-tuple");
+  (void)fresh;
+  ticking_.push_back(id);  // ids only grow, so the list stays ascending
 }
 
-int TcpStack::find_listener(Port lport) const {
-  for (const auto& [id, tcb] : socks_) {
-    if (tcb.state == TcpState::kListen && tcb.local_port == lport) return id;
-  }
-  return -1;
+bool TcpStack::holds_tuple(const Tcb& tcb) const {
+  const auto it = conns_.find(tuple_key(tcb));
+  return it != conns_.end() && find(it->second) == &tcb;
+}
+
+void TcpStack::unindex(const Tcb& tcb) {
+  if (holds_tuple(tcb)) conns_.erase(tuple_key(tcb));
 }
 
 Result<int> TcpStack::listen(Port port, int backlog) {
-  if (find_listener(port) >= 0) {
+  if (listeners_.count(port) != 0) {
     return Status(ErrorCode::kAlreadyExists,
                   "port already listening: " + std::to_string(port));
   }
@@ -113,15 +112,32 @@ Result<int> TcpStack::listen(Port port, int backlog) {
   tcb.local_port = port;
   tcb.backlog = backlog;
   socks_.emplace(id, std::move(tcb));
+  listeners_.emplace(port, id);
   return id;
 }
 
 Result<int> TcpStack::connect(IpAddr dst_ip, Port dst_port) {
+  int offset = ((next_id_ + 1) * 13) % kEphemeralPorts;
+  for (int tries = 0;; ++tries) {
+    if (tries == kEphemeralPorts) {
+      return Status(ErrorCode::kResourceExhausted,
+                    "no free local port toward " + std::to_string(dst_port));
+    }
+    const auto held = conns_.find(tuple_key(
+        dst_ip, dst_port, static_cast<Port>(kEphemeralBase + offset)));
+    if (held == conns_.end()) break;
+    if (inert(socks_.at(held->second))) {
+      // A quiet TIME_WAIT: retire it so the new connection owns the tuple.
+      conns_.erase(held);
+      break;
+    }
+    offset = (offset + 1) % kEphemeralPorts;
+  }
   const int id = next_id_++;
   Tcb tcb;
   tcb.remote_ip = dst_ip;
   tcb.remote_port = dst_port;
-  tcb.local_port = static_cast<Port>(0xC000 + (next_id_ * 13) % 0x3FFF);
+  tcb.local_port = static_cast<Port>(kEphemeralBase + offset);
   tcb.iss = rng_.next_u32();
   tcb.snd_una = tcb.iss;
   tcb.snd_nxt = tcb.iss + 1;  // SYN occupies one sequence number
@@ -130,6 +146,7 @@ Result<int> TcpStack::connect(IpAddr dst_ip, Port dst_port) {
   auto [it, ok] = socks_.emplace(id, std::move(tcb));
   (void)ok;
   arm_retx(it->second);
+  index_connection(id, it->second);
   return id;
 }
 
@@ -200,6 +217,7 @@ Status TcpStack::close(int sock) {
     for (int id : t->accept_queue) {
       if (Tcb* c = find(id)) kill(*c, /*reset=*/true);
     }
+    listeners_.erase(t->local_port);
     t->state = TcpState::kClosed;
     return Status::ok();
   }
@@ -239,6 +257,7 @@ bool TcpStack::reap(int sock) {
   const TcpState s = it->second.state;
   if (s != TcpState::kClosed && s != TcpState::kTimeWait) return false;
   if (it->second.backlog > 0) return false;  // listeners are never reaped
+  unindex(it->second);
   socks_.erase(it);
   ++tcbs_reaped_;
   return true;
@@ -250,6 +269,7 @@ std::size_t TcpStack::reap_dead() {
     const TcpState s = it->second.state;
     if ((s == TcpState::kClosed || s == TcpState::kTimeWait) &&
         it->second.backlog == 0) {
+      unindex(it->second);
       it = socks_.erase(it);
       ++tcbs_reaped_;
       ++n;
@@ -288,11 +308,13 @@ u32 TcpStack::trace_conn_id(int sock) const {
 }
 
 void TcpStack::transition(Tcb& tcb, TcpState to) {
+  if (tcb.state == to) return;
   auto& tracer = telemetry::Tracer::global();
-  if (tracer.enabled() && tcb.state != to) {
+  if (tracer.enabled()) {
     tracer.emit(TraceLayer::kTcp, TcpTrace::kState, conn_trace_id(tcb),
                 static_cast<u32>(tcb.state), static_cast<u32>(to));
   }
+  if (to == TcpState::kClosed) unindex(tcb);
   tcb.state = to;
 }
 
@@ -410,9 +432,13 @@ void TcpStack::retransmit(Tcb& tcb) {
 
 void TcpStack::kill(Tcb& tcb, bool reset) {
   if (reset && tcb.state != TcpState::kClosed) {
-    transmit(tcb, tcb.snd_nxt, TcpFlags::kRst, {});
-    ++resets_sent_;
-    resets_counter().add();
+    // A TIME_WAIT TCB that connect() retired no longer holds its 4-tuple;
+    // an RST from it would reset the connection that does.
+    if (holds_tuple(tcb)) {
+      transmit(tcb, tcb.snd_nxt, TcpFlags::kRst, {});
+      ++resets_sent_;
+      resets_counter().add();
+    }
     tcb.reset = true;
   }
   transition(tcb, TcpState::kClosed);
@@ -472,11 +498,11 @@ void TcpStack::handle_listener(Tcb& listener, const Segment& seg) {
   auto [it, ok] = socks_.emplace(id, std::move(conn));
   (void)ok;
   arm_retx(it->second);
+  index_connection(id, it->second);
   listener.accept_queue.push_back(id);
 }
 
-void TcpStack::handle_connection(int id, Tcb& tcb, const Segment& seg) {
-  (void)id;
+void TcpStack::handle_connection(Tcb& tcb, const Segment& seg) {
   if (seg.has(TcpFlags::kRst)) {
     tcb.reset = true;
     transition(tcb, TcpState::kClosed);
@@ -663,14 +689,15 @@ void TcpStack::deliver(const Segment& seg) {
     return;
   }
 
-  const int conn = find_connection(seg.src_ip, seg.src_port, seg.dst_port);
-  if (conn >= 0) {
-    handle_connection(conn, socks_.at(conn), seg);
+  const auto conn =
+      conns_.find(tuple_key(seg.src_ip, seg.src_port, seg.dst_port));
+  if (conn != conns_.end()) {
+    handle_connection(socks_.at(conn->second), seg);
     return;
   }
-  const int listener = find_listener(seg.dst_port);
-  if (listener >= 0) {
-    handle_listener(socks_.at(listener), seg);
+  const auto listener = listeners_.find(seg.dst_port);
+  if (listener != listeners_.end()) {
+    handle_listener(socks_.at(listener->second), seg);
     return;
   }
   // Nothing at this port: RST (so connects to dead ports fail fast).
@@ -688,20 +715,24 @@ void TcpStack::deliver(const Segment& seg) {
 
 std::size_t TcpStack::half_open_count() const {
   std::size_t n = 0;
-  for (const auto& [id, tcb] : socks_) {
-    (void)id;
-    if (tcb.state == TcpState::kSynRcvd) ++n;
+  for (const int id : ticking_) {  // every embryo is on the tick list
+    const Tcb* t = find(id);
+    if (t != nullptr && t->state == TcpState::kSynRcvd) ++n;
   }
   return n;
 }
 
 void TcpStack::on_tick(u64 now_ms) {
   now_ms_ = now_ms;
-  for (auto& [id, tcb] : socks_) {
-    (void)id;
-    if (tcb.state == TcpState::kClosed || tcb.state == TcpState::kListen) {
-      continue;
-    }
+  // Visit only the TCBs that can still act, in ascending id order: the order
+  // decides which retransmission draws the PRNG first and which segment goes
+  // on the wire first. Reaped and inert TCBs drop off the list for good.
+  std::size_t kept = 0;
+  for (const int id : ticking_) {
+    Tcb* t = find(id);
+    if (t == nullptr || inert(*t)) continue;
+    ticking_[kept++] = id;
+    Tcb& tcb = *t;
     if (tcb.retx_deadline != 0 && now_ms_ >= tcb.retx_deadline) {
       retransmit(tcb);
     }
@@ -730,6 +761,7 @@ void TcpStack::on_tick(u64 now_ms) {
     }
     pump(tcb);
   }
+  ticking_.resize(kept);
 }
 
 }  // namespace rmc::net

@@ -9,9 +9,13 @@
 // flows), graceful FIN teardown in both directions, RST on unexpected
 // segments, listener backlogs. A connection that exhausts kMaxRetx
 // retransmissions gives up: it sends RST, latches was_reset(), and frees
-// its resources instead of retrying forever. Not implemented (out of scope,
-// documented in DESIGN.md): sliding receive windows, congestion control,
-// SACK, urgent data.
+// its resources instead of retrying forever. Timers and demultiplexing cost
+// O(live connections), not O(every socket ever opened): a tick visits only
+// TCBs that can still act, and a segment finds its connection through a
+// 4-tuple index and its listener through a port index. Active opens never
+// share a 4-tuple with a live connection (see connect()). Not implemented
+// (out of scope, documented in DESIGN.md): TIME_WAIT expiry, sliding receive
+// windows, congestion control, SACK, urgent data.
 //
 // All calls are non-blocking: "blocking" behaviour is built by the service
 // layer out of costatement waitfor loops, exactly as the port had to (§5.3).
@@ -19,6 +23,7 @@
 
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "common/ringlog.h"
 #include "common/status.h"
@@ -68,6 +73,9 @@ class TcpStack : public NetworkEndpoint {
   /// quietly (no RST — a spoofed source has nobody listening) and its
   /// backlog slot is reclaimed, like a short tcp_synack_retries horizon.
   static constexpr u64 kSynRcvdTimeoutMs = 2'000;
+  /// Local ports for active opens (see connect()).
+  static constexpr Port kEphemeralBase = 0xC000;
+  static constexpr int kEphemeralPorts = 0x3FFF;
 
   TcpStack(SimNet& net, IpAddr addr, u64 seed = 7);
 
@@ -75,7 +83,13 @@ class TcpStack : public NetworkEndpoint {
   common::Result<int> listen(Port port, int backlog = 4);
 
   /// Active open: starts the handshake, returns the connection socket id
-  /// immediately (poll is_established / state).
+  /// immediately (poll is_established / state). The local port comes from
+  /// [kEphemeralBase, kEphemeralBase + kEphemeralPorts), starting at a
+  /// per-socket stride and moving up past any port whose 4-tuple a live
+  /// connection still holds. A TIME_WAIT holder with nothing in flight gives
+  /// its tuple up instead (it stays resident for state()/was_reset() but no
+  /// longer sends or receives segments). kResourceExhausted if no port is
+  /// free.
   common::Result<int> connect(IpAddr dst_ip, Port dst_port);
 
   /// Pop one established connection off a listener (kUnavailable if none).
@@ -111,13 +125,14 @@ class TcpStack : public NetworkEndpoint {
   /// True if the connection died from RST or retransmission give-up.
   bool was_reset(int sock) const;
 
-  /// Release one fully-dead, non-listener TCB (kClosed / kTimeWait). The
-  /// stack historically kept every socket id resident forever — harmless
-  /// for the port's fixed handful of sockets, but a reconnect-heavy client
-  /// grows the table without bound. Opt-in and explicit because reaping
-  /// forgets the socket's post-mortem state (was_reset etc.); callers reap
-  /// only ids they are done querying. Returns false if the socket is still
-  /// live (or unknown).
+  /// Release one fully-dead, non-listener TCB (kClosed / kTimeWait). Dead
+  /// TCBs cost no tick or lookup time, but each stays resident until
+  /// reaped, so a reconnect-heavy client grows the table without bound.
+  /// Opt-in and explicit because reaping forgets the socket's post-mortem
+  /// state (was_reset etc.); callers reap only ids they are done querying.
+  /// A reaped TIME_WAIT socket's 4-tuple is forgotten too: a later segment
+  /// for it draws an RST. Returns false if the socket is still live (or
+  /// unknown).
   bool reap(int sock);
   /// Reap every dead non-listener TCB; returns how many were released.
   std::size_t reap_dead();
@@ -226,8 +241,25 @@ class TcpStack : public NetworkEndpoint {
 
   Tcb* find(int sock);
   const Tcb* find(int sock) const;
-  int find_connection(IpAddr rip, Port rport, Port lport) const;
-  int find_listener(Port lport) const;
+  /// Demultiplexing key of a connection: remote ip, remote port, local port.
+  static u64 tuple_key(IpAddr rip, Port rport, Port lport) {
+    return (u64{rip} << 32) | (u64{rport} << 16) | lport;
+  }
+  static u64 tuple_key(const Tcb& tcb) {
+    return tuple_key(tcb.remote_ip, tcb.remote_port, tcb.local_port);
+  }
+  /// A TCB that will never act again: CLOSED, or TIME_WAIT with its FIN
+  /// acknowledged (nothing left to retransmit).
+  static bool inert(const Tcb& tcb) {
+    return tcb.state == TcpState::kClosed ||
+           (tcb.state == TcpState::kTimeWait && tcb.retx_deadline == 0);
+  }
+  /// Register a just-created connection in the tuple index and tick list.
+  void index_connection(int id, const Tcb& tcb);
+  /// Do `tcb`'s tuple's segments reach it? Not once connect() retired it.
+  bool holds_tuple(const Tcb& tcb) const;
+  /// Drop `tcb`'s tuple from the index if `tcb` holds it.
+  void unindex(const Tcb& tcb);
 
   void transmit(const Tcb& tcb, u32 seq, u8 flags, std::vector<u8> payload);
   /// Every connection state change funnels through here so the trace sees
@@ -244,12 +276,17 @@ class TcpStack : public NetworkEndpoint {
   /// listener permanently — the SYN flood's lasting damage.
   void prune_accept_queue(Tcb& listener);
   void handle_listener(Tcb& listener, const Segment& seg);
-  void handle_connection(int id, Tcb& tcb, const Segment& seg);
+  void handle_connection(Tcb& tcb, const Segment& seg);
 
   SimNet& net_;
   IpAddr addr_;
   common::Xorshift64 rng_;
   std::map<int, Tcb> socks_;
+  // Indexes beside socks_, so a tick or a segment costs O(live connections)
+  // however many dead TCBs are resident:
+  std::vector<int> ticking_;        // ids that may still act, ascending
+  std::map<u64, int> conns_;        // tuple_key -> its one non-CLOSED holder
+  std::map<Port, int> listeners_;   // port -> LISTEN socket
   int next_id_ = 1;
   u64 now_ms_ = 0;
   u64 retransmissions_ = 0;

@@ -1,6 +1,8 @@
 // Edge-case and failure-injection coverage across modules: session behaviour
-// on corrupted transports, simultaneous TCP close, DC-facade EOF paths,
-// compiler output introspection, and resource-limit paths.
+// on corrupted transports, simultaneous TCP close (including a FIN
+// retransmitted from TIME_WAIT), TCP demultiplexing after a listener is
+// re-armed or a TIME_WAIT socket reaped, DC-facade EOF paths, compiler
+// output introspection, and resource-limit paths.
 #include <gtest/gtest.h>
 
 #include "dcc/codegen.h"
@@ -17,6 +19,7 @@ namespace {
 
 using common::ErrorCode;
 using common::u16;
+using common::u64;
 using common::u8;
 
 // ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ TEST(SessionEdge, TransportEofMidHandshakeFails) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP simultaneous close
+// TCP teardown and demultiplexing
 // ---------------------------------------------------------------------------
 
 TEST(TcpEdge, SimultaneousCloseBothSidesReachTerminalStates) {
@@ -92,6 +95,86 @@ TEST(TcpEdge, SimultaneousCloseBothSidesReachTerminalStates) {
   medium.tick(50);
   EXPECT_FALSE(a.is_open(*ca));
   EXPECT_FALSE(b.is_open(*cb));
+}
+
+TEST(TcpEdge, SimultaneousCloseRetransmitsFinWhoseAckWasLost) {
+  net::SimNet medium(5);
+  medium.set_latency_ms(5);
+  net::TcpStack a(medium, 1), b(medium, 2);
+  auto l = a.listen(80);
+  auto cb = b.connect(1, 80);
+  medium.tick(40);
+  auto ca = a.accept(*l);
+  ASSERT_TRUE(ca.ok());
+  // a's FIN leaves at t and lands at t+5; b's leaves at t+2 and lands at
+  // t+7. Each side takes the other's FIN in FIN_WAIT_1 and goes straight to
+  // TIME_WAIT. The partition eats b's ACK of a's FIN (sent at t+5), so a
+  // sits in TIME_WAIT with its FIN still unacknowledged.
+  const u64 t = medium.now_ms();
+  net::FaultPlan plan;
+  plan.partitions.push_back({t + 5, t + 6});
+  medium.set_fault_plan(plan);
+  ASSERT_TRUE(a.close(*ca).is_ok());
+  medium.tick(2);
+  ASSERT_TRUE(b.close(*cb).is_ok());
+  medium.tick(10);
+  ASSERT_EQ(a.state(*ca), net::TcpState::kTimeWait);
+  ASSERT_EQ(b.state(*cb), net::TcpState::kTimeWait);
+  ASSERT_EQ(medium.drops_partition(), 1u);
+  ASSERT_EQ(a.retransmissions(), 0u);
+  // The RTO fires in TIME_WAIT; b re-ACKs the duplicate FIN.
+  medium.tick(1'000);
+  EXPECT_EQ(a.retransmissions(), 1u);
+  EXPECT_EQ(b.retransmissions(), 0u);
+  EXPECT_EQ(a.rto_ms(*ca), net::TcpStack::kRtoMs);  // FIN acked: backoff reset
+  EXPECT_EQ(a.state(*ca), net::TcpState::kTimeWait);
+  EXPECT_EQ(b.state(*cb), net::TcpState::kTimeWait);
+  EXPECT_EQ(a.resets_sent() + b.resets_sent(), 0u);
+}
+
+TEST(TcpEdge, RelistenedPortAcceptsNewConnections) {
+  net::SimNet medium(8);
+  net::TcpStack a(medium, 1), b(medium, 2);
+  auto l1 = a.listen(80);
+  ASSERT_TRUE(l1.ok());
+  ASSERT_TRUE(a.close(*l1).is_ok());
+  auto l2 = a.listen(80);
+  ASSERT_TRUE(l2.ok());
+  EXPECT_FALSE(a.listen(80).ok());  // one listener per port
+  auto cb = b.connect(1, 80);
+  medium.tick(20);
+  EXPECT_TRUE(b.is_established(*cb));
+  EXPECT_TRUE(a.accept(*l2).ok());
+  EXPECT_EQ(a.resets_sent(), 0u);
+}
+
+TEST(TcpEdge, SegmentForReapedTimeWaitTupleDrawsReset) {
+  net::SimNet medium(9);
+  net::TcpStack a(medium, 1), b(medium, 2);
+  auto l = a.listen(80);
+  auto cb = b.connect(1, 80);
+  medium.tick(20);
+  auto ca = a.accept(*l);
+  ASSERT_TRUE(ca.ok());
+  // b closes first and ends in TIME_WAIT; the partition eats its ACK of
+  // a's FIN (sent at t+3), so a stays in LAST_ACK and will retransmit.
+  const u64 t = medium.now_ms();
+  net::FaultPlan plan;
+  plan.partitions.push_back({t + 3, t + 4});
+  medium.set_fault_plan(plan);
+  ASSERT_TRUE(b.close(*cb).is_ok());
+  medium.tick(2);
+  ASSERT_TRUE(a.close(*ca).is_ok());
+  medium.tick(2);
+  ASSERT_EQ(b.state(*cb), net::TcpState::kTimeWait);
+  ASSERT_EQ(a.state(*ca), net::TcpState::kLastAck);
+  ASSERT_TRUE(b.reap(*cb));
+  // a's retransmitted FIN now finds nothing on b and draws the ghost RST.
+  medium.tick(1'000);
+  EXPECT_EQ(a.retransmissions(), 1u);
+  EXPECT_EQ(b.resets_sent(), 1u);
+  EXPECT_TRUE(a.was_reset(*ca));
+  EXPECT_EQ(a.state(*ca), net::TcpState::kClosed);
 }
 
 TEST(TcpEdge, DataBeforeCloseStillDelivered) {

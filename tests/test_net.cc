@@ -240,6 +240,59 @@ TEST(Tcp, BacklogLimitsPendingConnections) {
   EXPECT_EQ(established, 4);
 }
 
+TEST(Tcp, ConnectAfterLocalPortWrapStillEstablishes) {
+  TwoHosts h;
+  auto l = h.server.listen(kPort);
+  ASSERT_TRUE(l.ok());
+  // Active open; returns {server side, client side}, server side -1 if the
+  // handshake (SYN, SYN-ACK, ACK) did not complete.
+  auto open = [&] {
+    auto c = h.client.connect(kServerIp, kPort);
+    EXPECT_TRUE(c.ok()) << c.status().to_string();
+    h.net.tick(3);
+    auto s = h.server.accept(*l);
+    return std::pair{s.ok() ? *s : -1, c.ok() ? *c : -1};
+  };
+  auto echo = [&](int s, int c, u8 tag) {
+    const std::vector<u8> ping = {tag}, pong = {tag, tag};
+    EXPECT_TRUE(h.client.send(c, ping).ok());
+    h.net.tick(3);
+    EXPECT_EQ(h.drain(h.server, s), ping);
+    EXPECT_TRUE(h.server.send(s, pong).ok());
+    h.net.tick(3);
+    EXPECT_EQ(h.drain(h.client, c), pong);
+  };
+  const auto [s0, c0] = open();  // #0 stays established throughout
+  ASSERT_GE(s0, 0);
+  int first_cycle = -1;
+  // The connector closes first, so each cycle leaves a client TCB in
+  // TIME_WAIT, holding its 4-tuple for good. One cycle per ephemeral port:
+  // the last lands on #0's port, and the connect after them on the port of
+  // the first cycle's TIME_WAIT TCB.
+  for (int i = 0; i < TcpStack::kEphemeralPorts; ++i) {
+    const auto [s, c] = open();
+    ASSERT_GE(s, 0) << "cycle " << i;
+    if (i == 0) first_cycle = c;
+    ASSERT_TRUE(h.client.close(c).is_ok());
+    h.net.tick(2);  // FIN, ACK
+    ASSERT_TRUE(h.server.close(s).is_ok());
+    h.net.tick(2);  // FIN, ACK
+    ASSERT_EQ(h.client.state(c), TcpState::kTimeWait) << "cycle " << i;
+    ASSERT_TRUE(h.server.reap(s)) << "cycle " << i;  // keeps the server small
+  }
+  const auto [s, c] = open();
+  ASSERT_GE(s, 0);
+  echo(s, c, 'n');
+  echo(s0, c0, '0');
+  // The TIME_WAIT socket whose tuple the new connection took stays
+  // queryable, and aborting it leaves the new connection alone.
+  EXPECT_EQ(h.client.state(first_cycle), TcpState::kTimeWait);
+  ASSERT_TRUE(h.client.abort(first_cycle).is_ok());
+  echo(s, c, 'a');
+  EXPECT_EQ(h.client.retransmissions(), 0u);
+  EXPECT_EQ(h.client.resets_sent() + h.server.resets_sent(), 0u);
+}
+
 TEST(Tcp, SendOnClosedSocketFails) {
   TwoHosts h;
   auto [sconn, cconn] = h.connect();
