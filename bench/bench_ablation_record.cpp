@@ -8,57 +8,22 @@
 //   key sched   amortized per-record share of the session key expansion
 // under both kernel generations (direct C port vs hand assembly, both
 // measured on the simulated board; asm SHA-1 scaled by the measured E1
-// ratio as in bench_ssl_throughput). The output answers two design
+// ratio, see bench/soak.h). The output answers two design
 // questions: (1) is MAC-then-encrypt affordable once AES is in assembly?
 // (2) which kernel should the *next* porting hour go to?
+#include <array>
 #include <cstdio>
 
-#include "bench_util.h"
-#include "dcc/codegen.h"
-#include "rabbit/board.h"
-#include "services/aes_port.h"
+#include "soak.h"
 
 using namespace rmc;
+using bench::BoardKernels;
 using common::u64;
 using common::u8;
 
 namespace {
 
-struct Kernels {
-  u64 aes_block = 0;   // cycles per 16-byte AES block
-  u64 sha_block = 0;   // cycles per SHA-1 compression
-  u64 key_sched = 0;   // cycles per AES key expansion
-};
-
-u64 measure_sha1() {
-  auto src = services::read_text_file(std::string(RMC_REPO_ROOT) +
-                                      "/dc/sha1.dc");
-  auto compiled = dcc::compile(*src, dcc::CodegenOptions::debug_defaults());
-  rabbit::Board board;
-  board.load(compiled->image);
-  (void)board.call("f_sha1_init", 100'000'000);
-  return board.call("f_sha1_block", 500'000'000)->cycles;
-}
-
-Kernels measure(services::AesImpl impl, bool scale_sha) {
-  auto aes = services::AesOnBoard::create_from_repo(
-      impl, RMC_REPO_ROOT, dcc::CodegenOptions::debug_defaults());
-  std::array<u8, 16> key{}, pt{}, ct{};
-  Kernels k;
-  k.key_sched = *aes->set_key(key);
-  k.aes_block = *aes->encrypt(pt, ct);
-  k.sha_block = measure_sha1();
-  if (scale_sha) {
-    auto c_aes = services::AesOnBoard::create_from_repo(
-        services::AesImpl::kCompiledC, RMC_REPO_ROOT,
-        dcc::CodegenOptions::debug_defaults());
-    (void)c_aes->set_key(key);
-    k.sha_block = k.sha_block * k.aes_block / *c_aes->encrypt(pt, ct);
-  }
-  return k;
-}
-
-void decompose(const char* title, const char* key, const Kernels& k,
+void decompose(const char* title, const char* key, const BoardKernels& k,
                bench::JsonReport& report) {
   std::printf("-- %s: AES block %llu cyc, SHA-1 block %llu cyc, key sched "
               "%llu cyc --\n",
@@ -103,8 +68,11 @@ int main(int argc, char** argv) {
   std::puts("Ablation: per-record cycle decomposition of the issl secure path");
   std::puts("==================================================================\n");
 
-  const Kernels c_port = measure(services::AesImpl::kCompiledC, false);
-  const Kernels asm_all = measure(services::AesImpl::kHandAssembly, true);
+  const std::array<u8, 16> zeros{};  // key and block
+  const BoardKernels c_port = bench::measure_board_kernels(
+      services::AesImpl::kCompiledC, zeros, zeros);
+  const BoardKernels asm_all = bench::measure_board_kernels(
+      services::AesImpl::kHandAssembly, zeros, zeros);
 
   bench::JsonReport report("ABLATION");
   decompose("direct C port (every kernel compiled)", "c_port", c_port,

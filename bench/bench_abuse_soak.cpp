@@ -28,28 +28,21 @@
 // Everything derives from --seed; a fixed seed gives a byte-identical
 // --json artifact. --smoke 1 runs only the fuzz pass (the CI fuzz-smoke
 // step).
-#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "abuse/fuzz.h"
 #include "abuse/hostile.h"
-#include "bench_util.h"
-#include "services/redirector.h"
+#include "soak.h"
 
 using namespace rmc;
+using bench::ChunkedEcho;
 using common::u64;
 using common::u8;
 
 namespace {
-
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
 
 using abuse::Behavior;
 using AttackOpts = abuse::HostileClient::Options;
@@ -121,41 +114,24 @@ std::vector<AbuseSpec> make_scenarios(int clients) {
   return v;
 }
 
-struct AbuseResult {
-  int completed = 0;
-  int failed = 0;
-  int stuck = 0;
-  u64 retries = 0;  // legit reconnect attempts beyond the first
-  int corrupt_echoes = 0;
-  u64 bytes_echoed = 0;
-  u64 elapsed_ms = 0;
-  bool attackers_done = false;
-  // Redirector degradation counters vs. their flight-recorder mirrors.
-  u64 shed = 0, trace_shed = 0;
-  u64 watchdogs = 0, trace_watchdogs = 0;
-  u64 hs_timeouts = 0, trace_hs_timeouts = 0;
-  u64 hs_failures = 0;
-  u64 served = 0;
-  // Hardening telemetry (registry deltas).
-  u64 malformed_records = 0;
-  u64 resumption_rejects = 0;
-  u64 mac_failures = 0;
-  // TCP front-door pressure.
-  u64 syn_backlog_drops = 0;
-  u64 embryonic_timeouts = 0;
-  u64 half_open_left = 0;
-  // Attacker aggregates.
-  u64 atk_conns = 0;
-  u64 atk_rounds = 0;
-  u64 atk_resets = 0;
-  u64 syns_spoofed = 0;
-  // Gates.
-  bool wedge_free = false;
-  bool no_corrupt = false;
-  bool attributed = false;
-  bool goodput_ok = false;
-  bool gates_ok = false;
-};
+// One row per scenario, in report order: legit clients (retries = redials
+// beyond the first), the attackers, the redirector's degradation counters
+// next to their flight-recorder mirrors, the hardening and TCP front-door
+// counters, and the gates.
+#define E15_RESULTS(X)                                                      \
+  X(int, completed) X(int, failed) X(int, stuck) X(u64, retries)           \
+  X(int, corrupt_echoes) X(u64, bytes_echoed) X(u64, elapsed_ms)           \
+  X(u64, attacker_conns) X(u64, attacker_rounds) X(u64, attacker_resets)   \
+  X(u64, syns_spoofed) X(u64, connections_served) X(u64, connections_shed) \
+  X(u64, watchdog_aborts) X(u64, handshake_timeouts)                       \
+  X(u64, handshake_failures) X(u64, trace_shed)                            \
+  X(u64, trace_watchdog_aborts) X(u64, trace_handshake_timeouts)           \
+  X(u64, malformed_records) X(u64, resumption_rejects)                     \
+  X(u64, mac_failures) X(u64, syn_backlog_drops)                           \
+  X(u64, embryonic_timeouts) X(u64, half_open_left)                        \
+  X(bool, gate_wedge_free) X(bool, gate_no_corrupt)                        \
+  X(bool, gate_attributed) X(bool, gate_goodput) X(bool, gates_ok)
+RMC_SOAK_ROW(AbuseResult, E15_RESULTS);
 
 u64 registry_value(const char* name) {
   return telemetry::Registry::global().counter(name).value();
@@ -173,27 +149,27 @@ u64 count_service_events(std::size_t from, u8 event) {
   return n;
 }
 
-AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
-                         std::size_t payload_bytes, u64 max_ms) {
-  net::SimNet medium(seed);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e15");
-  cfg.handler_slots = 3;
-  cfg.shed_when_busy = true;
-  cfg.handshake_timeout_ms = 2'500;  // tight: abuse must die fast
+// The E15 redirector: tight timeouts (abuse must die fast) and a
+// resumption cache for legit clients to ride back in on. The attack
+// scenarios add shedding; the cache-poison run does without.
+services::RedirectorConfig abuse_config() {
+  services::RedirectorConfig cfg = bench::redirector_config("e15");
+  cfg.handshake_timeout_ms = 2'500;
   cfg.idle_timeout_ms = 8'000;
   cfg.tls.resumption = true;
   cfg.session_cache_capacity = 16;
+  return cfg;
+}
+
+AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
+                         std::size_t payload_bytes, u64 max_ms) {
+  bench::EchoWorld world(seed);
+  net::SimNet& medium = world.medium;
+  net::TcpStack board(medium, bench::kBoardIp);
+  net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
+
+  services::RedirectorConfig cfg = abuse_config();
+  cfg.shed_when_busy = true;
   services::RmcRedirector red(board, medium, cfg);
   AbuseResult r;
   if (!red.start().is_ok()) return r;
@@ -206,29 +182,20 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
   std::vector<u8> payload(payload_bytes);
   common::Xorshift64 fill(seed ^ 0xE15E15);
   fill.fill(payload);
-  constexpr std::size_t kChunk = 512;
   constexpr int kMaxAttempts = 5;
 
-  issl::Config legit_tls = issl::Config::embedded_port();
-  legit_tls.resumption = true;
-
   struct Legit {
-    std::unique_ptr<services::Client> c;
-    std::size_t sent = 0;
+    ChunkedEcho echo;
     int attempts = 1;
     int state = 0;  // 0 live, 1 completed, 2 failed for good
     u64 retry_at = 0;  // backoff deadline before the next redial
   };
-  std::vector<Legit> legit(static_cast<std::size_t>(offered));
+  std::vector<Legit> legit;
   for (int i = 0; i < offered; ++i) {
-    auto& L = legit[static_cast<std::size_t>(i)];
-    L.c = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, legit_tls, bytes_of("e15"),
-        seed * 977 + static_cast<u64>(i) * 131);
-    (void)L.c->start();
-    const std::size_t first = std::min(kChunk, payload_bytes);
-    (void)L.c->send(std::span<const u8>(payload.data(), first));
-    L.sent = first;
+    legit.push_back({ChunkedEcho(world.client_host, cfg.tls, "e15",
+                                 seed * 977 + static_cast<u64>(i) * 131,
+                                 payload, 512)});
+    legit.back().echo.start();
   }
 
   std::vector<std::unique_ptr<abuse::HostileClient>> attackers;
@@ -241,107 +208,88 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
         attacker_host, medium, 1, 4433, seed * 13 + i * 101 + 7, o));
   }
 
+  bool attackers_done = false;  // as of the last pass's polls
   u64 t = 0;
   for (; t < max_ms; ++t) {
     bool all_settled = true;
     for (auto& L : legit) {
       if (L.state != 0) continue;
-      services::Client& c = *L.c;
       // Backing off after a shed: don't redial into the same storm.
       if (L.retry_at > t) {
         all_settled = false;
         continue;
       }
-      if (L.retry_at != 0 && L.retry_at <= t) {
+      if (L.retry_at != 0) {
         L.retry_at = 0;
-        (void)c.reconnect();
-        const std::size_t first = std::min(kChunk, payload_bytes);
-        (void)c.send(std::span<const u8>(payload.data(), first));
-        L.sent = first;
+        L.echo.restart();
         all_settled = false;
         continue;
       }
-      const bool alive = c.poll();
-      if (c.received().size() >= payload_bytes) {
-        L.state = 1;
-        c.close();
-        continue;
-      }
-      if (!alive || c.failed()) {
-        // Shed or killed — a real client retries (bounded, with linear
-        // backoff so the retry lands after the storm), and the retry
-        // offers the earned ticket, so recovery rides the abbreviated
-        // handshake when the cache survived the abuse.
-        if (L.attempts < kMaxAttempts) {
-          ++L.attempts;
-          ++r.retries;
-          L.retry_at = t + 400 * static_cast<u64>(L.attempts);
+      switch (L.echo.poll()) {
+        case ChunkedEcho::State::kLive:
           all_settled = false;
-        } else {
-          L.state = 2;
-        }
-        continue;
+          break;
+        case ChunkedEcho::State::kDone:
+          L.state = 1;
+          break;
+        case ChunkedEcho::State::kFailed:
+          // Shed or killed: a real client retries (bounded, with linear
+          // backoff so the retry lands after the storm), and the retry
+          // offers the earned ticket, so recovery rides the abbreviated
+          // handshake when the cache survived the abuse.
+          if (L.attempts < kMaxAttempts) {
+            ++L.attempts;
+            ++r.retries;
+            L.retry_at = t + 400 * static_cast<u64>(L.attempts);
+            all_settled = false;
+          } else {
+            L.state = 2;
+          }
+          break;
       }
-      if (c.received().size() >= L.sent && L.sent < payload_bytes) {
-        const std::size_t n = std::min(kChunk, payload_bytes - L.sent);
-        (void)c.send(std::span<const u8>(payload.data() + L.sent, n));
-        L.sent += n;
-      }
-      all_settled = false;
     }
-    bool attackers_done = true;
+    attackers_done = true;
     for (auto& a : attackers) {
       if (a->poll()) attackers_done = false;
     }
     red.poll();
-    backend.poll();
+    world.backend.poll();
     medium.tick(1);
-    if (all_settled && attackers_done) {
-      r.attackers_done = true;
-      break;
-    }
+    if (all_settled && attackers_done) break;
   }
   r.elapsed_ms = t;
-  if (!r.attackers_done) {
-    r.attackers_done = std::all_of(
-        attackers.begin(), attackers.end(),
-        [](const auto& a) { return a->done(); });
-  }
 
   for (auto& L : legit) {
     if (L.state == 0) ++r.stuck;
     if (L.state == 2) ++r.failed;
-    services::Client& c = *L.c;
     // The zero-corruption invariant covers partial transfers too: whatever
     // came back must be a prefix of what was sent, completed or not.
-    const std::size_t n = std::min(c.received().size(), payload.size());
-    if (!std::equal(c.received().begin(),
-                    c.received().begin() + static_cast<long>(n),
-                    payload.begin())) {
+    if (!L.echo.echo_is_prefix()) {
       ++r.corrupt_echoes;
       continue;
     }
-    r.bytes_echoed += c.received().size();
+    r.bytes_echoed += L.echo.client().received().size();
     if (L.state == 1) ++r.completed;
   }
 
   for (auto& a : attackers) {
-    r.atk_conns += a->stats().conns_attempted;
-    r.atk_rounds += a->stats().rounds_done;
-    r.atk_resets += a->stats().resets_seen;
+    r.attacker_conns += a->stats().conns_attempted;
+    r.attacker_rounds += a->stats().rounds_done;
+    r.attacker_resets += a->stats().resets_seen;
     r.syns_spoofed += a->stats().syns_spoofed;
   }
 
-  r.shed = red.stats().connections_shed;
-  r.watchdogs = red.stats().watchdog_aborts;
-  r.hs_timeouts = red.stats().handshake_timeouts;
-  r.hs_failures = red.stats().handshake_failures;
-  r.served = red.stats().connections_served;
+  const services::RedirectorStats& st = red.stats();
+  r.connections_served = st.connections_served;
+  r.connections_shed = st.connections_shed;
+  r.watchdog_aborts = st.watchdog_aborts;
+  r.handshake_timeouts = st.handshake_timeouts;
+  r.handshake_failures = st.handshake_failures;
   r.trace_shed =
       count_service_events(trace_before, telemetry::ServiceTrace::kShed);
-  r.trace_watchdogs = count_service_events(
+  r.trace_watchdog_aborts = count_service_events(
       trace_before, telemetry::ServiceTrace::kWatchdogAbort);
-  r.trace_hs_timeouts = count_service_events(
+  r.trace_handshake_timeouts = count_service_events(
       trace_before, telemetry::ServiceTrace::kHsTimeout);
 
   r.malformed_records =
@@ -353,13 +301,14 @@ AbuseResult run_scenario(u64 seed, const AbuseSpec& spec, int offered,
   r.embryonic_timeouts = board.embryonic_timeouts();
   r.half_open_left = board.half_open_count();
 
-  r.wedge_free = r.stuck == 0 && r.attackers_done && t < max_ms;
-  r.no_corrupt = r.corrupt_echoes == 0;
-  r.attributed = r.trace_shed == r.shed &&
-                 r.trace_watchdogs == r.watchdogs &&
-                 r.trace_hs_timeouts == r.hs_timeouts;
-  r.goodput_ok = r.completed >= spec.legit_floor;
-  r.gates_ok = r.wedge_free && r.no_corrupt && r.attributed && r.goodput_ok;
+  r.gate_wedge_free = r.stuck == 0 && attackers_done && t < max_ms;
+  r.gate_no_corrupt = r.corrupt_echoes == 0;
+  r.gate_attributed = r.trace_shed == r.connections_shed &&
+                      r.trace_watchdog_aborts == r.watchdog_aborts &&
+                      r.trace_handshake_timeouts == r.handshake_timeouts;
+  r.gate_goodput = r.completed >= spec.legit_floor;
+  r.gates_ok = r.gate_wedge_free && r.gate_no_corrupt && r.gate_attributed &&
+               r.gate_goodput;
   return r;
 }
 
@@ -379,24 +328,10 @@ struct PoisonResult {
 // server), then have the same clients resume against it.
 PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
                               u64 max_ms) {
-  net::SimNet medium(seed);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e15");
-  cfg.handler_slots = 3;
-  cfg.handshake_timeout_ms = 2'500;
-  cfg.idle_timeout_ms = 8'000;
-  cfg.tls.resumption = true;
-  cfg.session_cache_capacity = 16;
-  services::RmcRedirector red(board, medium, cfg);
+  bench::EchoWorld world(seed);
+  net::TcpStack board(world.medium, bench::kBoardIp);
+  const services::RedirectorConfig cfg = abuse_config();
+  services::RmcRedirector red(board, world.medium, cfg);
   PoisonResult r;
   if (!red.start().is_ok()) return r;
   const u64 rejects_before = registry_value("issl.resumption_rejects");
@@ -405,13 +340,12 @@ PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
   common::Xorshift64 fill(seed ^ 0xCACE);
   fill.fill(payload);
 
-  issl::Config legit_tls = issl::Config::embedded_port();
-  legit_tls.resumption = true;
   constexpr int kClients = 2;
   std::vector<std::unique_ptr<services::Client>> clients;
   for (int i = 0; i < kClients; ++i) {
     clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, legit_tls, bytes_of("e15"),
+        world.client_host, bench::kBoardIp, bench::kListenPort, true,
+        cfg.tls, bench::bytes_of("e15"),
         seed * 331 + static_cast<u64>(i) * 17));
     (void)clients.back()->start();
     (void)clients.back()->send(payload);
@@ -425,8 +359,8 @@ PoisonResult run_cache_poison(u64 seed, std::size_t payload_bytes,
         if (!settled(*c)) done = false;
       }
       red.poll();
-      backend.poll();
-      medium.tick(1);
+      world.backend.poll();
+      world.medium.tick(1);
       if (done) return true;
     }
     return false;
@@ -550,45 +484,15 @@ int main(int argc, char** argv) {
           spec.name.c_str(), r.completed, r.failed, r.stuck,
           static_cast<unsigned long long>(r.retries),
           static_cast<unsigned long long>(r.bytes_echoed),
-          static_cast<unsigned long long>(r.shed),
-          static_cast<unsigned long long>(r.watchdogs),
-          static_cast<unsigned long long>(r.hs_timeouts),
+          static_cast<unsigned long long>(r.connections_shed),
+          static_cast<unsigned long long>(r.watchdog_aborts),
+          static_cast<unsigned long long>(r.handshake_timeouts),
           static_cast<unsigned long long>(r.malformed_records),
           static_cast<unsigned long long>(r.syn_backlog_drops),
           r.gates_ok ? "ok" : "FAIL");
       all_ok = all_ok && r.gates_ok;
 
-      const std::string k = "scn." + spec.name + ".";
-      report.result(k + "completed", r.completed);
-      report.result(k + "failed", r.failed);
-      report.result(k + "stuck", r.stuck);
-      report.result(k + "retries", r.retries);
-      report.result(k + "corrupt_echoes", r.corrupt_echoes);
-      report.result(k + "bytes_echoed", r.bytes_echoed);
-      report.result(k + "elapsed_ms", r.elapsed_ms);
-      report.result(k + "attacker_conns", r.atk_conns);
-      report.result(k + "attacker_rounds", r.atk_rounds);
-      report.result(k + "attacker_resets", r.atk_resets);
-      report.result(k + "syns_spoofed", r.syns_spoofed);
-      report.result(k + "connections_served", r.served);
-      report.result(k + "connections_shed", r.shed);
-      report.result(k + "watchdog_aborts", r.watchdogs);
-      report.result(k + "handshake_timeouts", r.hs_timeouts);
-      report.result(k + "handshake_failures", r.hs_failures);
-      report.result(k + "trace_shed", r.trace_shed);
-      report.result(k + "trace_watchdog_aborts", r.trace_watchdogs);
-      report.result(k + "trace_handshake_timeouts", r.trace_hs_timeouts);
-      report.result(k + "malformed_records", r.malformed_records);
-      report.result(k + "resumption_rejects", r.resumption_rejects);
-      report.result(k + "mac_failures", r.mac_failures);
-      report.result(k + "syn_backlog_drops", r.syn_backlog_drops);
-      report.result(k + "embryonic_timeouts", r.embryonic_timeouts);
-      report.result(k + "half_open_left", r.half_open_left);
-      report.result(k + "gate_wedge_free", r.wedge_free);
-      report.result(k + "gate_no_corrupt", r.no_corrupt);
-      report.result(k + "gate_attributed", r.attributed);
-      report.result(k + "gate_goodput", r.goodput_ok);
-      report.result(k + "gates_ok", r.gates_ok);
+      r.emit(report, "scn." + spec.name + ".");
     }
 
     const PoisonResult p = run_cache_poison(seed, payload, max_ms);

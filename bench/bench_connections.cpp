@@ -11,49 +11,33 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_util.h"
-#include "services/redirector.h"
+#include "soak.h"
 
 using namespace rmc;
-using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
-
 int completed_handshakes(std::size_t handler_slots, int offered_clients,
                          int rounds) {
-  net::SimNet medium(0xE4);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e4");
+  bench::EchoWorld world(0xE4);
+  net::TcpStack board(world.medium, bench::kBoardIp);
+  services::RedirectorConfig cfg = bench::redirector_config("e4");
   cfg.handler_slots = handler_slots;
-  services::RmcRedirector red(board, medium, cfg);
+  services::RmcRedirector red(board, world.medium, cfg);
   if (!red.start().is_ok()) return -1;
 
   std::vector<std::unique_ptr<services::Client>> clients;
   for (int i = 0; i < offered_clients; ++i) {
     clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e4"), 0xE400 + i));
+        world.client_host, bench::kBoardIp, bench::kListenPort, true,
+        issl::Config::embedded_port(), bench::bytes_of("e4"), 0xE400 + i));
     (void)clients.back()->start();
   }
   for (int round = 0; round < rounds; ++round) {
     red.poll();
-    backend.poll();
+    world.backend.poll();
     for (auto& c : clients) (void)c->poll();
-    medium.tick(1);
+    world.medium.tick(1);
   }
   int done = 0;
   for (auto& c : clients) done += c->handshake_done() ? 1 : 0;

@@ -25,69 +25,43 @@
 // Everything derives from --seed, so the --json artifact is byte-identical
 // across same-seed runs (scripts/check.sh gates on exactly that). Exit
 // status is 1 on any consistency violation or half-open session.
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "services/supervisor.h"
+#include "soak.h"
 
 using namespace rmc;
+using bench::ChunkedEcho;
 using common::u64;
 using common::u8;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
-
 enum class Death { kWedge, kPowerCut, kXalloc };
 
-struct CrashResult {
-  u64 boots = 0;
-  u64 resets = 0;
-  u64 wdt_bites = 0;
-  u64 power_cuts = 0;
-  u64 xalloc_restarts = 0;
-  u64 recovery_total_ms = 0;
-  u64 recovery_last_ms = 0;
-  int completed = 0;
-  int failed = 0;       // failed *closed* — expected collateral of a death
-  int stuck = 0;        // half-open at scenario end = the audited failure
-  u64 sessions_dropped = 0;  // live on the board at each death
-  u64 durable_served = 0;
-  u64 durable_generation = 0;
-  u64 torn_recoveries = 0;
-  u64 consistency_violations = 0;
-  u64 elapsed_ms = 0;
-  u64 postmortem_lines = 0;
-};
-
-struct LiveClient {
-  std::unique_ptr<services::Client> client;
-  std::size_t sent = 0;
-};
+// One row per scenario, in report order. sessions_failed_closed = failed
+// closed, the expected collateral of a death; sessions_half_open = neither
+// done nor dead at scenario end, the audited failure; sessions_dropped =
+// live on the board at each death.
+#define E10_RESULTS(X)                                                    \
+  X(u64, boots) X(u64, resets) X(u64, wdt_bites) X(u64, power_cuts)      \
+  X(u64, xalloc_restarts) X(u64, recovery_total_ms)                      \
+  X(u64, recovery_total_cycles) X(u64, recovery_last_ms)                 \
+  X(int, sessions_completed) X(int, sessions_failed_closed)              \
+  X(int, sessions_half_open) X(u64, sessions_dropped)                    \
+  X(u64, durable_served) X(u64, durable_generation)                      \
+  X(u64, torn_recoveries) X(u64, consistency_violations)                 \
+  X(u64, postmortem_lines) X(u64, elapsed_ms)
+RMC_SOAK_ROW(CrashResult, E10_RESULTS);
 
 CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
-  net::SimNet medium(seed);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
+  bench::EchoWorld world(seed);
 
   services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e10");
-  cfg.redirector.handler_slots = 3;
-  cfg.board_ip = 1;
+  cfg.redirector = bench::redirector_config("e10");
+  cfg.board_ip = bench::kBoardIp;
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
   cfg.power_off_ms = 50;
@@ -106,7 +80,7 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
     cfg.session_xalloc_bytes = 96;
     cfg.xalloc_capacity = 32 * 96;  // 32 sessions, then the arena is spent
   }
-  services::ServiceBoard board(medium, cfg);
+  services::ServiceBoard board(world.medium, cfg);
 
   const std::size_t kPayload = 1'024;
   const std::size_t kChunk = 256;
@@ -115,26 +89,21 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
   fill.fill(payload);
 
   CrashResult r;
-  std::vector<LiveClient> live;
+  std::vector<ChunkedEcho> live;
   u64 spawned = 0;
   constexpr std::size_t kConcurrency = 2;
 
   auto spawn = [&]() {
-    LiveClient lc;
-    lc.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e10"), seed * 977 + ++spawned);
+    ChunkedEcho e(world.client_host, issl::Config::embedded_port(), "e10",
+                  seed * 977 + ++spawned, payload, kChunk);
     // Without a read timeout a client whose handshake or final echo was
     // severed with nothing left in flight would wait forever: TCP only
     // notices a dead peer when it has something to retransmit. 25 s sits
     // above the retransmit give-up horizon (~20 s), so it only fires for
     // the genuinely-silent case.
-    lc.client->set_idle_give_up(25'000);
-    (void)lc.client->start();
-    const std::size_t first = std::min(kChunk, kPayload);
-    (void)lc.client->send(std::span<const u8>(payload.data(), first));
-    lc.sent = first;
-    live.push_back(std::move(lc));
+    e.client().set_idle_give_up(25'000);
+    e.start();
+    live.push_back(std::move(e));
   };
 
   // Durable-consistency observer: the last in-RAM bookkeeping glimpsed
@@ -178,34 +147,26 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
       was_up = false;
     }
 
-    backend.poll();
+    world.backend.poll();
     for (std::size_t i = 0; i < live.size();) {
-      services::Client& c = *live[i].client;
-      const bool alive = c.poll();
-      if (c.received().size() >= kPayload) {
-        ++r.completed;
-        c.close();
-        live.erase(live.begin() + static_cast<long>(i));
+      const ChunkedEcho::State state = live[i].poll();
+      if (state == ChunkedEcho::State::kLive) {
+        ++i;
         continue;
       }
-      if (!alive || c.failed()) {
-        ++r.failed;
-        live.erase(live.begin() + static_cast<long>(i));
-        continue;
+      if (state == ChunkedEcho::State::kDone) {
+        ++r.sessions_completed;
+      } else {
+        ++r.sessions_failed_closed;
       }
-      if (c.received().size() >= live[i].sent && live[i].sent < kPayload) {
-        const std::size_t n = std::min(kChunk, kPayload - live[i].sent);
-        (void)c.send(std::span<const u8>(payload.data() + live[i].sent, n));
-        live[i].sent += n;
-      }
-      ++i;
+      live.erase(live.begin() + static_cast<long>(i));
     }
 
-    medium.tick(1);
+    world.medium.tick(1);
     if (t >= spawn_until && live.empty()) break;  // all settled, no new work
   }
   r.elapsed_ms = t;
-  r.stuck = static_cast<int>(live.size());  // half-open: neither done nor dead
+  r.sessions_half_open = static_cast<int>(live.size());
 
   r.boots = board.boots();
   r.resets = board.resets();
@@ -213,6 +174,8 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
   r.power_cuts = board.power_cuts_seen();
   r.xalloc_restarts = board.xalloc_restarts();
   r.recovery_total_ms = board.total_recovery_ms();
+  r.recovery_total_cycles =
+      r.recovery_total_ms * services::ServiceBoard::kCyclesPerMs;
   r.recovery_last_ms = board.last_recovery_ms();
   r.sessions_dropped = board.sessions_dropped();
   r.postmortem_lines = board.postmortem().size();
@@ -270,37 +233,19 @@ int main(int argc, char** argv) {
   for (const Scenario& s : scenarios) {
     const CrashResult r = run_scenario(seed, s.death, max_ms, spawn_until);
     std::printf("%-9s %6llu %5d %5d %5d %6llu %5llu %6llu %8llu %6llu %5llu\n",
-                s.name, static_cast<unsigned long long>(r.resets), r.completed,
-                r.failed, r.stuck,
+                s.name, static_cast<unsigned long long>(r.resets),
+                r.sessions_completed, r.sessions_failed_closed,
+                r.sessions_half_open,
                 static_cast<unsigned long long>(r.sessions_dropped),
                 static_cast<unsigned long long>(r.torn_recoveries),
                 static_cast<unsigned long long>(r.durable_served),
                 static_cast<unsigned long long>(r.recovery_total_ms),
                 static_cast<unsigned long long>(r.durable_generation),
                 static_cast<unsigned long long>(r.consistency_violations));
-    if (r.stuck > 0) half_open = true;
+    if (r.sessions_half_open > 0) half_open = true;
     if (r.consistency_violations > 0) inconsistent = true;
 
-    const std::string k = std::string("scn.") + s.name + ".";
-    report.result(k + "boots", r.boots);
-    report.result(k + "resets", r.resets);
-    report.result(k + "wdt_bites", r.wdt_bites);
-    report.result(k + "power_cuts", r.power_cuts);
-    report.result(k + "xalloc_restarts", r.xalloc_restarts);
-    report.result(k + "recovery_total_ms", r.recovery_total_ms);
-    report.result(k + "recovery_total_cycles",
-                  r.recovery_total_ms * services::ServiceBoard::kCyclesPerMs);
-    report.result(k + "recovery_last_ms", r.recovery_last_ms);
-    report.result(k + "sessions_completed", r.completed);
-    report.result(k + "sessions_failed_closed", r.failed);
-    report.result(k + "sessions_half_open", r.stuck);
-    report.result(k + "sessions_dropped", r.sessions_dropped);
-    report.result(k + "durable_served", r.durable_served);
-    report.result(k + "durable_generation", r.durable_generation);
-    report.result(k + "torn_recoveries", r.torn_recoveries);
-    report.result(k + "consistency_violations", r.consistency_violations);
-    report.result(k + "postmortem_lines", r.postmortem_lines);
-    report.result(k + "elapsed_ms", r.elapsed_ms);
+    r.emit(report, std::string("scn.") + s.name + ".");
   }
 
   std::printf(

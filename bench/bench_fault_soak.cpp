@@ -19,26 +19,18 @@
 // fatal: the issl MAC makes them impossible on the secure leg, so each one
 // is corruption on the plaintext redirector<->backend hop — the SSL
 // terminator's trusted-LAN assumption, measured.
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
-#include "services/redirector.h"
+#include "soak.h"
 
 using namespace rmc;
+using bench::ChunkedEcho;
 using common::u64;
 using common::u8;
 
 namespace {
-
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
 
 struct Scenario {
   std::string name;
@@ -73,56 +65,36 @@ std::vector<Scenario> make_scenarios() {
   return v;
 }
 
-struct SoakResult {
-  int completed = 0;
-  int failed = 0;
-  int stuck = 0;  // neither completed nor failed inside the budget = a hang
-  int handshakes_ok = 0;
-  // Echoed bytes differing from the payload. The issl MAC makes this
-  // impossible on the secure leg, so every occurrence is corruption on the
-  // *plaintext* redirector<->backend leg — the SSL terminator's trusted-LAN
-  // assumption (paper §2) made visible as a measured quantity.
-  int plaintext_leg_corruptions = 0;
-  u64 bytes_echoed = 0;     // end-to-end verified echo bytes
-  u64 svc_bytes = 0;        // bytes the redirector forwarded (either way)
-  u64 elapsed_ms = 0;
-  u64 worst_completion_ms = 0;
-  u64 retransmissions = 0;
-  u64 retx_giveups = 0;
-  u64 mac_failures = 0;
-  u64 hs_failures = 0;
-  u64 hs_timeouts = 0;
-  u64 backend_retries = 0;
-  u64 shed = 0;
-  u64 watchdogs = 0;
-  u64 drops_loss = 0;
-  u64 drops_partition = 0;
-  u64 corrupted = 0;
-  u64 duplicated = 0;
-};
+// One row per scenario, in report order. stuck = clients that neither
+// completed nor failed inside the budget (a hang); plaintext_leg_corruptions
+// = clients whose echo differs from the payload, which the issl MAC leaves
+// possible only on the plaintext redirector<->backend leg.
+#define E9_RESULTS(X)                                                      \
+  X(int, completed) X(int, failed) X(int, stuck) X(int, handshakes_ok)     \
+  X(int, plaintext_leg_corruptions)                                       \
+  X(u64, bytes_echoed)    /* end-to-end verified echo bytes */            \
+  X(u64, bytes_forwarded) /* by the redirector, either way */             \
+  X(u64, elapsed_ms) X(u64, worst_completion_ms)                          \
+  X(double, goodput_bytes_per_ms)                                         \
+  X(u64, retransmissions) X(u64, retx_giveups) X(u64, mac_failures)       \
+  X(u64, handshake_failures) X(u64, handshake_timeouts)                   \
+  X(u64, backend_retries) X(u64, connections_shed)                        \
+  X(u64, watchdog_aborts) X(u64, drops_loss) X(u64, drops_partition)      \
+  X(u64, segments_corrupted) X(u64, segments_duplicated)
+RMC_SOAK_ROW(SoakResult, E9_RESULTS);
 
 SoakResult run_scenario(u64 seed, const net::FaultPlan& plan, int offered,
                         std::size_t payload_bytes, u64 max_ms) {
-  net::SimNet medium(seed);
-  medium.set_fault_plan(plan);
-  net::TcpStack board(medium, 1);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
+  bench::EchoWorld world(seed);
+  world.medium.set_fault_plan(plan);
+  net::TcpStack board(world.medium, bench::kBoardIp);
 
-  services::RedirectorConfig cfg;
-  cfg.listen_port = 4433;
-  cfg.backend_ip = 2;
-  cfg.backend_port = 8000;
-  cfg.psk = bytes_of("e9");
-  cfg.handler_slots = 3;
+  services::RedirectorConfig cfg = bench::redirector_config("e9");
   cfg.shed_when_busy = true;  // the observable degradation past the ceiling
   cfg.handshake_timeout_ms = 8'000;
   cfg.idle_timeout_ms = 10'000;
-  services::RmcRedirector red(board, medium, cfg);
-  SoakResult r;
-  if (!red.start().is_ok()) return r;
+  services::RmcRedirector red(board, world.medium, cfg);
+  bench::require(red.start(), "redirector start");
 
   const u64 mac_before =
       telemetry::Registry::global().counter("issl.mac_failures").value();
@@ -131,97 +103,85 @@ SoakResult run_scenario(u64 seed, const net::FaultPlan& plan, int offered,
   common::Xorshift64 fill(seed ^ 0xE9E9);
   fill.fill(payload);
 
-  // The payload travels in 512-byte chunks, one issl record per chunk, the
-  // next sent only after the previous echoed back. One corrupted record
-  // then costs that session its remaining chunks (poisoned, fail closed)
-  // instead of silently deciding the whole scenario — partial delivery is
-  // exactly the graceful-degradation signal E9 measures.
-  constexpr std::size_t kChunk = 512;
-  std::vector<std::unique_ptr<services::Client>> clients;
-  std::vector<std::size_t> sent(static_cast<std::size_t>(offered), 0);
+  // The payload travels in 512-byte chunks, one issl record per chunk. One
+  // corrupted record then costs that session its remaining chunks
+  // (poisoned, fail closed): partial delivery is exactly the
+  // graceful-degradation signal E9 measures.
+  std::vector<ChunkedEcho> clients;
   for (int i = 0; i < offered; ++i) {
-    clients.push_back(std::make_unique<services::Client>(
-        client_host, 1, 4433, true, issl::Config::embedded_port(),
-        bytes_of("e9"), seed * 977 + static_cast<u64>(i)));
-    (void)clients.back()->start();
-    const std::size_t first = std::min(kChunk, payload_bytes);
-    (void)clients.back()->send(
-        std::span<const u8>(payload.data(), first));
-    sent[static_cast<std::size_t>(i)] = first;
+    clients.emplace_back(world.client_host, issl::Config::embedded_port(),
+                         "e9", seed * 977 + static_cast<u64>(i), payload,
+                         512);
+    clients.back().start();
   }
-  std::vector<int> state(static_cast<std::size_t>(offered), 0);  // 0 live
-  std::vector<u64> settle_ms(static_cast<std::size_t>(offered), 0);
-  std::vector<bool> hs_seen(static_cast<std::size_t>(offered), false);
+  using State = ChunkedEcho::State;
+  std::vector<State> state(clients.size(), State::kLive);
+  std::vector<u64> settle_ms(clients.size(), 0);
+  std::vector<bool> hs_seen(clients.size(), false);
 
+  SoakResult r;
   u64 t = 0;
   for (; t < max_ms; ++t) {
     bool all_settled = true;
-    for (int i = 0; i < offered; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (state[idx] != 0) continue;
-      services::Client& c = *clients[idx];
-      const bool alive = c.poll();
-      if (c.handshake_done()) hs_seen[idx] = true;
-      if (c.received().size() >= payload_bytes) {
-        state[idx] = 1;
-        settle_ms[idx] = t;
-        c.close();
-      } else if (!alive || c.failed()) {
-        state[idx] = 2;
-        settle_ms[idx] = t;
-      } else {
-        if (c.received().size() >= sent[idx] && sent[idx] < payload_bytes) {
-          const std::size_t n = std::min(kChunk, payload_bytes - sent[idx]);
-          (void)c.send(std::span<const u8>(payload.data() + sent[idx], n));
-          sent[idx] += n;
-        }
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (state[i] != State::kLive) continue;
+      state[i] = clients[i].poll();
+      if (clients[i].client().handshake_done()) hs_seen[i] = true;
+      if (state[i] == State::kLive) {
         all_settled = false;
+      } else {
+        settle_ms[i] = t;
       }
     }
     red.poll();
-    backend.poll();
-    medium.tick(1);
+    world.backend.poll();
+    world.medium.tick(1);
     if (all_settled) break;
   }
   r.elapsed_ms = t;
 
-  for (int i = 0; i < offered; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    services::Client& c = *clients[idx];
-    if (state[idx] == 0) ++r.stuck;
-    if (state[idx] == 2) ++r.failed;
-    if (hs_seen[idx]) ++r.handshakes_ok;
-    const std::size_t n = std::min(c.received().size(), payload.size());
-    if (!std::equal(c.received().begin(), c.received().begin() +
-                        static_cast<long>(n), payload.begin())) {
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    if (state[i] == State::kLive) ++r.stuck;
+    if (state[i] == State::kFailed) ++r.failed;
+    if (hs_seen[i]) ++r.handshakes_ok;
+    if (!clients[i].echo_is_prefix()) {
       ++r.plaintext_leg_corruptions;
       continue;
     }
-    r.bytes_echoed += c.received().size();
-    if (state[idx] == 1) {
+    r.bytes_echoed += clients[i].client().received().size();
+    if (state[i] == State::kDone) {
       ++r.completed;
-      r.worst_completion_ms = std::max(r.worst_completion_ms, settle_ms[idx]);
+      r.worst_completion_ms = std::max(r.worst_completion_ms, settle_ms[i]);
     }
   }
-  r.svc_bytes = red.stats().bytes_client_to_backend +
-                red.stats().bytes_backend_to_client;
+  const services::RedirectorStats& st = red.stats();
+  r.bytes_forwarded = st.bytes_client_to_backend + st.bytes_backend_to_client;
+  // Goodput: application bytes the service moved per virtual ms. The
+  // redirector's job is forwarding, so this counts both directions at the
+  // service; end-to-end verified echo bytes are reported separately.
+  r.goodput_bytes_per_ms =
+      r.elapsed_ms == 0 ? 0.0
+                        : static_cast<double>(r.bytes_forwarded) /
+                              static_cast<double>(r.elapsed_ms);
 
-  r.retransmissions = board.retransmissions() + client_host.retransmissions() +
-                      backend_host.retransmissions();
-  r.retx_giveups = board.retx_giveups() + client_host.retx_giveups() +
-                   backend_host.retx_giveups();
+  const net::TcpStack* hosts[] = {&board, &world.client_host,
+                                  &world.backend_host};
+  for (const net::TcpStack* h : hosts) {
+    r.retransmissions += h->retransmissions();
+    r.retx_giveups += h->retx_giveups();
+  }
   r.mac_failures =
       telemetry::Registry::global().counter("issl.mac_failures").value() -
       mac_before;
-  r.hs_failures = red.stats().handshake_failures;
-  r.hs_timeouts = red.stats().handshake_timeouts;
-  r.backend_retries = red.stats().backend_retries;
-  r.shed = red.stats().connections_shed;
-  r.watchdogs = red.stats().watchdog_aborts;
-  r.drops_loss = medium.drops_loss();
-  r.drops_partition = medium.drops_partition();
-  r.corrupted = medium.segments_corrupted();
-  r.duplicated = medium.segments_duplicated();
+  r.handshake_failures = st.handshake_failures;
+  r.handshake_timeouts = st.handshake_timeouts;
+  r.backend_retries = st.backend_retries;
+  r.connections_shed = st.connections_shed;
+  r.watchdog_aborts = st.watchdog_aborts;
+  r.drops_loss = world.medium.drops_loss();
+  r.drops_partition = world.medium.drops_partition();
+  r.segments_corrupted = world.medium.segments_corrupted();
+  r.segments_duplicated = world.medium.segments_duplicated();
   return r;
 }
 
@@ -252,50 +212,19 @@ int main(int argc, char** argv) {
 
   for (const Scenario& s : make_scenarios()) {
     const SoakResult r = run_scenario(seed, s.plan, offered, payload, max_ms);
-    // Goodput: application bytes the service moved per virtual ms. The
-    // redirector's job is forwarding, so this counts both directions at the
-    // service; end-to-end verified echo bytes are reported separately.
-    const double goodput_kbps =
-        r.elapsed_ms == 0
-            ? 0.0
-            : static_cast<double>(r.svc_bytes) /
-                  static_cast<double>(r.elapsed_ms);
     std::printf("%-16s %4d %4d %5d %6d %7.2f/s %6llu %5llu %5llu %5llu %5llu %5llu\n",
                 s.name.c_str(), r.completed, r.failed, r.stuck,
-                r.handshakes_ok, goodput_kbps,
+                r.handshakes_ok, r.goodput_bytes_per_ms,
                 static_cast<unsigned long long>(r.retransmissions),
                 static_cast<unsigned long long>(r.mac_failures),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.watchdogs),
+                static_cast<unsigned long long>(r.connections_shed),
+                static_cast<unsigned long long>(r.watchdog_aborts),
                 static_cast<unsigned long long>(r.backend_retries),
                 static_cast<unsigned long long>(r.drops_loss +
                                                 r.drops_partition));
     if (r.stuck > 0) hang = true;
-    if (s.name == "burst5_corrupt") moderate_bytes = r.svc_bytes;
-
-    const std::string k = "scn." + s.name + ".";
-    report.result(k + "completed", r.completed);
-    report.result(k + "failed", r.failed);
-    report.result(k + "stuck", r.stuck);
-    report.result(k + "handshakes_ok", r.handshakes_ok);
-    report.result(k + "plaintext_leg_corruptions", r.plaintext_leg_corruptions);
-    report.result(k + "bytes_echoed", r.bytes_echoed);
-    report.result(k + "bytes_forwarded", r.svc_bytes);
-    report.result(k + "elapsed_ms", r.elapsed_ms);
-    report.result(k + "worst_completion_ms", r.worst_completion_ms);
-    report.result(k + "goodput_bytes_per_ms", goodput_kbps);
-    report.result(k + "retransmissions", r.retransmissions);
-    report.result(k + "retx_giveups", r.retx_giveups);
-    report.result(k + "mac_failures", r.mac_failures);
-    report.result(k + "handshake_failures", r.hs_failures);
-    report.result(k + "handshake_timeouts", r.hs_timeouts);
-    report.result(k + "backend_retries", r.backend_retries);
-    report.result(k + "connections_shed", r.shed);
-    report.result(k + "watchdog_aborts", r.watchdogs);
-    report.result(k + "drops_loss", r.drops_loss);
-    report.result(k + "drops_partition", r.drops_partition);
-    report.result(k + "segments_corrupted", r.corrupted);
-    report.result(k + "segments_duplicated", r.duplicated);
+    if (s.name == "burst5_corrupt") moderate_bytes = r.bytes_forwarded;
+    r.emit(report, "scn." + s.name + ".");
   }
 
   std::printf("\ngoodput is application bytes forwarded by the service per"

@@ -46,10 +46,10 @@
 #include <vector>
 
 #include "abuse/hostile.h"
-#include "bench_util.h"
 #include "dynk/allocfault.h"
 #include "dynk/slab.h"
 #include "services/supervisor.h"
+#include "soak.h"
 
 using namespace rmc;
 using common::u64;
@@ -61,10 +61,7 @@ using dynk::SlabHandle;
 
 namespace {
 
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
+using bench::bytes_of;
 
 // The redirector's per-connection recipe (redirector.cc alloc_conn), sized
 // for a given TLS shape. Kept in one place so the in-vitro phase replays
@@ -215,28 +212,20 @@ struct ServiceResult {
 
 services::ServiceBoardConfig board_config(std::size_t budget_bytes) {
   services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e16-psk");
-  cfg.redirector.tls = issl::Config::embedded_port();
+  cfg.redirector = bench::redirector_config("e16-psk");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
   cfg.redirector.shed_when_busy = true;
-  cfg.board_ip = 1;
+  cfg.board_ip = bench::kBoardIp;
   cfg.allocator = dynk::AllocatorKind::kSlab;
   cfg.xalloc_capacity = budget_bytes;
   return cfg;
 }
 
 ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
-  net::SimNet medium(seed);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
+  bench::EchoWorld world(seed);
+  net::SimNet& medium = world.medium;
   net::TcpStack attacker_host(medium, 4, seed ^ 0xA77A);
-  services::EchoBackend backend(backend_host, 8000);
-  if (!backend.start().is_ok()) return {};
   services::ServiceBoard board(medium, board_config(budget_bytes));
 
   // Abuse peers from the E15 harness churn alongside the honest client:
@@ -254,7 +243,8 @@ ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
 
   ServiceResult r;
   const auto msg = bytes_of("memory churn soak");
-  services::Client client(client_host, 1, 4433, true,
+  services::Client client(world.client_host, bench::kBoardIp,
+                          bench::kListenPort, true,
                           board_config(budget_bytes).redirector.tls,
                           bytes_of("e16-psk"), seed * 977 + 5);
   client.set_idle_give_up(25'000);
@@ -276,7 +266,7 @@ ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
     bool done = false;
     for (u64 i = 0; i < 3'000 && !done; ++i, ++t) {
       board.poll();
-      backend.poll();
+      world.backend.poll();
       (void)client.poll();
       (void)mid.poll();
       (void)thrash.poll();
@@ -296,7 +286,7 @@ ServiceResult run_service(u64 seed, u64 sessions, std::size_t budget_bytes) {
   // the end-of-soak live-bytes audit sees the idle steady state.
   for (u64 i = 0; i < 8'000; ++i, ++t) {
     board.poll();
-    backend.poll();
+    world.backend.poll();
     (void)client.poll();
     const bool a = mid.poll();
     const bool b = thrash.poll();
@@ -337,11 +327,8 @@ struct FaultResult {
 };
 
 FaultResult run_faults(u64 seed, u64 sessions, std::size_t budget_bytes) {
-  net::SimNet medium(seed ^ 0xFA17);
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  if (!backend.start().is_ok()) return {};
+  bench::EchoWorld world(seed ^ 0xFA17);
+  net::SimNet& medium = world.medium;
 
   auto cfg = board_config(budget_bytes);
   cfg.redirector.secure = false;  // the memory path is what's under test
@@ -362,14 +349,15 @@ FaultResult run_faults(u64 seed, u64 sessions, std::size_t budget_bytes) {
   const auto msg = bytes_of("fault probe");
   u64 t = 0;
   for (u64 s2 = 0; s2 < sessions; ++s2) {
-    services::Client c(client_host, 1, 4433, false,
-                       issl::Config::embedded_port(), {}, seed * 131 + s2);
+    services::Client c(world.client_host, bench::kBoardIp, bench::kListenPort,
+                       false, issl::Config::embedded_port(), {},
+                       seed * 131 + s2);
     c.set_idle_give_up(2'000);
     if (!c.start().is_ok() || !c.send(msg).is_ok()) continue;
     bool done = false;
     for (u64 i = 0; i < 2'500 && !done; ++i, ++t) {
       board.poll();
-      backend.poll();
+      world.backend.poll();
       (void)c.poll();
       medium.tick(1);
       if (c.received().size() >= msg.size()) done = true;
@@ -379,7 +367,7 @@ FaultResult run_faults(u64 seed, u64 sessions, std::size_t budget_bytes) {
     c.close();
     for (u64 i = 0; i < 60; ++i, ++t) {
       board.poll();
-      backend.poll();
+      world.backend.poll();
       (void)c.poll();
       medium.tick(1);
     }

@@ -23,11 +23,8 @@
 // no host wall-clock — so BENCH_E11.json is byte-reproducible.
 #include <cstdio>
 
-#include "bench_util.h"
 #include "issl/issl.h"
-#include "net/simnet.h"
-#include "net/tcp.h"
-#include "services/redirector.h"
+#include "soak.h"
 
 using namespace rmc;
 using common::u64;
@@ -101,18 +98,10 @@ struct ServiceRun {
 };
 
 ServiceRun run_service(bool resumption, int cycles) {
-  net::SimNet medium(0x511);
-  net::TcpStack rmc_stack(medium, 1);
-  net::TcpStack backend_stack(medium, 2);
-  net::TcpStack client_stack(medium, 3);
+  bench::EchoWorld world(0x511);
+  net::TcpStack rmc_stack(world.medium, bench::kBoardIp);
 
-  services::RedirectorConfig rc;
-  rc.listen_port = 4433;
-  rc.backend_ip = 2;
-  rc.backend_port = 8000;
-  rc.secure = true;
-  rc.tls = issl::Config::embedded_port();
-  rc.psk = {'e', '1', '1'};
+  services::RedirectorConfig rc = bench::redirector_config("e11");
   // The CPU-cost model carries the E6/session-level numbers: a full
   // handshake costs the board ~2M cycles (PRF + MACs + the key exchange it
   // would have run), an abbreviated one ~0.5M (PRF + MACs only).
@@ -122,18 +111,16 @@ ServiceRun run_service(bool resumption, int cycles) {
     rc.tls.resumption = true;
     rc.session_cache_capacity = 8;
   }
-  services::RmcRedirector redirector(rmc_stack, medium, rc);
-  services::EchoBackend backend(backend_stack, 8000);
-  if (!redirector.start().is_ok() || !backend.start().is_ok()) {
-    return {false, 0, 0, 0, 0, 0, 0};
-  }
+  services::RmcRedirector redirector(rmc_stack, world.medium, rc);
+  if (!redirector.start().is_ok()) return {false, 0, 0, 0, 0, 0, 0};
 
   issl::Config ctls = issl::Config::embedded_port();
   ctls.resumption = resumption;
-  services::Client client(client_stack, 1, 4433, true, ctls, rc.psk);
+  services::Client client(world.client_host, bench::kBoardIp,
+                          bench::kListenPort, true, ctls, rc.psk);
 
   ServiceRun out;
-  const u64 t0 = medium.now_ms();
+  const u64 t0 = world.medium.now_ms();
   const std::vector<u8> payload = {'p', 'i', 'n', 'g'};
   if (!client.start().is_ok()) return {false, 0, 0, 0, 0, 0, 0};
   for (int cycle = 0; cycle < cycles; ++cycle) {
@@ -141,9 +128,9 @@ ServiceRun run_service(bool resumption, int cycles) {
     bool served = false;
     for (int i = 0; i < 20'000; ++i) {
       redirector.poll();
-      backend.poll();
+      world.backend.poll();
       (void)client.poll();
-      medium.tick(1);
+      world.medium.tick(1);
       if (client.received().size() >= payload.size()) {
         served = true;
         break;
@@ -161,11 +148,11 @@ ServiceRun run_service(bool resumption, int cycles) {
     }
   }
   client.close();
-  out.virtual_ms = medium.now_ms() - t0;
+  out.virtual_ms = world.medium.now_ms() - t0;
   out.cache_hits = redirector.session_cache().hits();
   out.cache_misses = redirector.session_cache().misses();
-  out.client_tcbs_resident = client_stack.tcb_count();
-  out.client_tcbs_reaped = client_stack.tcbs_reaped();
+  out.client_tcbs_resident = world.client_host.tcb_count();
+  out.client_tcbs_reaped = world.client_host.tcbs_reaped();
   return out;
 }
 

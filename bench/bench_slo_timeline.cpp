@@ -34,19 +34,14 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "services/supervisor.h"
+#include "soak.h"
 
 using namespace rmc;
 using common::u64;
 using common::u8;
 
 namespace {
-
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
 
 // Timeline. Two clocks are in play: the harness loop count, and the
 // medium's virtual clock — which runs at ~2 ms per loop pass while the
@@ -134,35 +129,23 @@ struct Worker {
 // both runs are otherwise identical down to every seeded draw.
 Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
                      telemetry::SloEngine* engine) {
-  net::SimNet medium(seed);
+  bench::EchoWorld world(seed);
+  net::SimNet& medium = world.medium;
   net::FaultPlan faults;
   faults.partitions.push_back({kPartitionStart, kPartitionEnd});
   medium.set_fault_plan(faults);
 
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
-
   services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e17");
-  cfg.redirector.tls = issl::Config::embedded_port();
+  cfg.redirector = bench::redirector_config("e17");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
-  cfg.board_ip = 1;
+  cfg.board_ip = bench::kBoardIp;
   cfg.net_seed = seed * 131;
   cfg.power_off_ms = kPowerOffMs;
   cfg.reboot_ms = 2;
   cfg.power_plan = dynk::PowerFaultPlan::at({kPowerCutStep});
   services::ServiceBoard board(medium, cfg);
   if (sampler != nullptr) board.attach_sampler(sampler);
-
-  issl::Config client_tls = issl::Config::embedded_port();
-  client_tls.resumption = true;
 
   std::vector<u8> payload(kPayloadBytes);
   common::Xorshift64 fill(seed ^ 0xE17E17);
@@ -180,8 +163,8 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
 
   const auto spawn = [&](Worker& w) {
     w.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, client_tls, bytes_of("e17"),
-        seed * 977 + ++r.spawned);
+        world.client_host, bench::kBoardIp, bench::kListenPort, true,
+        cfg.redirector.tls, bench::bytes_of("e17"), seed * 977 + ++r.spawned);
     // Short enough that an outage turns into counted failures within a few
     // sample windows — the error signal the alerts are gated on.
     w.client->set_idle_give_up(kIdleGiveUpPolls);
@@ -212,7 +195,7 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
       engine->evaluate(sampler->last_sample_ms());
     }
 
-    backend.poll();
+    world.backend.poll();
     for (Worker& w : workers) {
       if (!w.client) {
         spawn(w);

@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "services/supervisor.h"
+#include "soak.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/trace.h"
 
@@ -43,11 +43,6 @@ using common::u64;
 using common::u8;
 
 namespace {
-
-std::vector<u8> bytes_of(std::string_view s) {
-  return {reinterpret_cast<const u8*>(s.data()),
-          reinterpret_cast<const u8*>(s.data()) + s.size()};
-}
 
 struct SoakResult {
   bool ok = true;
@@ -81,31 +76,22 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   tracer.set_enabled(traced);
   tracer.set_pcap_capture(traced);
 
-  net::SimNet medium(seed);
-  medium.set_fault_plan(net::FaultPlan::burst_loss(0.02));
-  net::TcpStack backend_host(medium, 2);
-  net::TcpStack client_host(medium, 3);
   // A WDT bite can destroy the board mid-close: the client has its FIN acked
   // (FIN_WAIT_2) but the peer's FIN dies with the board. The stack's
   // FIN_WAIT_2 timeout (TcpStack::kFinWait2TimeoutMs, 10 s) ends that
   // half-open TCB well inside the 30 s post-soak drain, so the trace audit
   // sees a terminal transition instead of an orphan.
-  services::EchoBackend backend(backend_host, 8000);
-  (void)backend.start();
+  bench::EchoWorld world(seed);
+  net::SimNet& medium = world.medium;
+  medium.set_fault_plan(net::FaultPlan::burst_loss(0.02));
 
   services::ServiceBoardConfig cfg;
-  cfg.redirector.listen_port = 4433;
-  cfg.redirector.backend_ip = 2;
-  cfg.redirector.backend_port = 8000;
-  cfg.redirector.secure = true;
-  cfg.redirector.psk = bytes_of("e12");
-  cfg.redirector.handler_slots = 3;
-  cfg.redirector.tls = issl::Config::embedded_port();
+  cfg.redirector = bench::redirector_config("e12");
   cfg.redirector.tls.resumption = true;
   cfg.redirector.session_cache_capacity = 8;
   cfg.redirector.crypto_cycles_handshake = 2'000'000;
   cfg.redirector.crypto_cycles_resumed_handshake = 500'000;
-  cfg.board_ip = 1;
+  cfg.board_ip = bench::kBoardIp;
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
   cfg.reboot_ms = 2;
@@ -114,7 +100,7 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   issl::Config ctls = issl::Config::embedded_port();
   ctls.resumption = true;
 
-  const std::vector<u8> payload = bytes_of("ping over resumed tls");
+  const std::vector<u8> payload = bench::bytes_of("ping over resumed tls");
   SoakResult r;
   std::vector<LiveClient> live;
   u64 spawned = 0;
@@ -123,8 +109,8 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   auto spawn = [&]() {
     LiveClient lc;
     lc.client = std::make_unique<services::Client>(
-        client_host, 1, 4433, true, ctls, bytes_of("e12"),
-        seed * 977 + ++spawned);
+        world.client_host, bench::kBoardIp, bench::kListenPort, true, ctls,
+        bench::bytes_of("e12"), seed * 977 + ++spawned);
     lc.client->set_idle_give_up(25'000);
     (void)lc.client->start();
     (void)lc.client->send(payload);
@@ -147,7 +133,7 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
     }
 
     board.poll();
-    backend.poll();
+    world.backend.poll();
     for (std::size_t i = 0; i < live.size();) {
       services::Client& c = *live[i].client;
       const bool alive = c.poll();
@@ -187,10 +173,10 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   // again, so close them and let TCP run to a terminal (FIN exchange, or
   // RST/give-up against a dead address). Keeps the trace free of half-open
   // connections the audit would rightly flag.
-  backend.close_all();
+  world.backend.close_all();
   for (u64 d = 0; d < 30'000; ++d) {
     board.poll();
-    backend.poll();
+    world.backend.poll();
     medium.tick(1);
   }
   r.wall_ms = std::chrono::duration<double, std::milli>(

@@ -25,7 +25,7 @@
 #      behaviour change refreshes the snapshots (and, if those three
 #      artifacts move, the digests) in the same change, so the rebaseline
 #      lands as a readable diff.
-#   4. dispatch matrix: the same E1/E9 run under RMC_DISPATCH=legacy must
+#   4. dispatch matrix: the same E1/E2 run under RMC_DISPATCH=legacy must
 #      equal the snapshot too (step 3 ran the default fast interpreter).
 #
 # Usage:
@@ -154,14 +154,15 @@ fi
 echo "$compared artifacts + ARTIFACTS.sha256 match bench/snapshots"
 
 echo
-echo "== dispatch matrix: RMC_DISPATCH=legacy E1/E9 == snapshot =="
-# The predecoded fast interpreter must be an execution-order no-op. E1 is
-# the interpreter-heavy artifact, E9 the SimNet-heavy one.
-for entry in E1:bench_aes_asm_vs_c E9:bench_fault_soak; do
+echo "== dispatch matrix: RMC_DISPATCH=legacy E1/E2 == snapshot =="
+# The predecoded fast interpreter must be an execution-order no-op. Both
+# legs run Rabbit code: E1 hand assembly and dcc-built AES, E2 the dcc AES
+# under every optimization setting, with CycleProfiler attribution (the
+# StepSink path) on each. A bench that never executes a Rabbit instruction
+# would check nothing here.
+for entry in E1:bench_aes_asm_vs_c E2:bench_optimizations; do
   id="${entry%%:*}" bin="${entry#*:}"
-  extra=()
-  [[ "$id" == E9 ]] && extra=(--seed 233)
-  RMC_DISPATCH=legacy "$repo_root/build-bench/bench/$bin" "${extra[@]}" \
+  RMC_DISPATCH=legacy "$repo_root/build-bench/bench/$bin" \
     --json "$tmp/${id}_legacy.json" >/dev/null
   same_json "$tmp/${id}_legacy.json" "$snap_dir/BENCH_$id.json"
   echo "$id: legacy == snapshot"

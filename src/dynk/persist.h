@@ -93,7 +93,7 @@ class DurableVar {
     dst.valid = 0;
     if (trip("durable.open")) return false;
     // Multibyte value write, tearable half-way.
-    std::memcpy(&dst.value, &v, sizeof(T) / 2);
+    std::memcpy(reinterpret_cast<common::u8*>(&dst.value), &v, sizeof(T) / 2);
     if (trip("durable.mid")) return false;
     std::memcpy(reinterpret_cast<common::u8*>(&dst.value) + sizeof(T) / 2,
                 reinterpret_cast<const common::u8*>(&v) + sizeof(T) / 2,

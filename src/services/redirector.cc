@@ -415,15 +415,14 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
     // session. TCP's own give-up (RST + was_reset) bounds each attempt.
     int backend = -1;
     if (usable) {
-      u64 backoff = config_.backend_backoff_base_ms;
-      for (int attempt = 0; attempt <= config_.backend_retry_limit;
-           ++attempt) {
+      u64 backoff = kBackendBackoffBaseMs;
+      for (int attempt = 0; attempt <= kBackendRetryLimit; ++attempt) {
         if (attempt > 0) {
           ++stats_.backend_retries;
           backend_retry_counter().add();
           log_->append("backend-retry " + std::to_string(slot));
           co_await scheduler_.delay(static_cast<common::u32>(backoff));
-          backoff = std::min(backoff * 2, config_.backend_backoff_max_ms);
+          backoff = std::min(backoff * 2, kBackendBackoffMaxMs);
         }
         auto b = stack_.connect(config_.backend_ip, config_.backend_port);
         if (!b.ok()) continue;
@@ -437,8 +436,11 @@ dynk::Costate RmcRedirector::handler(std::size_t slot) {
         }
       }
       if (backend < 0) {
+        // Fail closed: an orderly close with no reply would read as an
+        // empty answer, not as the failure it is.
         log_->append("backend-dead " + std::to_string(slot));
         usable = false;
+        abort_client = true;
       }
     }
 

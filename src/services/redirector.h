@@ -103,11 +103,6 @@ struct RedirectorConfig {
   /// direction for this long raises kWatchdog through the error dispatcher
   /// and aborts both sides.
   common::u64 idle_timeout_ms = 30'000;
-  /// Backend reconnect attempts beyond the first, with capped exponential
-  /// backoff between them.
-  int backend_retry_limit = 3;
-  common::u64 backend_backoff_base_ms = 50;
-  common::u64 backend_backoff_max_ms = 1'600;
   /// When every handler slot is busy, refuse (RST + log) excess established
   /// clients instead of letting them queue unanswered. Off by default: the
   /// paper's port simply let them wait, and E4 measures exactly that — the
@@ -207,6 +202,13 @@ class RmcRedirector {
   /// the only way to reclaim it is the controlled restart the supervisor
   /// performs when it sees this.
   bool restart_requested() const { return restart_requested_; }
+
+  /// Backend reconnect attempts beyond the first, with capped exponential
+  /// backoff between them. When every attempt is refused the handler logs
+  /// `backend-dead` and fails the client closed (RST).
+  static constexpr int kBackendRetryLimit = 3;
+  static constexpr u64 kBackendBackoffBaseMs = 50;
+  static constexpr u64 kBackendBackoffMaxMs = 1'600;
 
   // --- Slab-mode per-connection recipe (DESIGN.md §14) ---------------------
   /// Handler bookkeeping: slot state struct the port kept static per slot.

@@ -4,8 +4,8 @@
 // latching was_reset, backlog-full SYN drops that recover on retry), the
 // issl stall watchdog, and the redirector's degradation paths (handshake
 // timeout recycling a slot, shedding under saturation, backend reconnect
-// with backoff). Companion to bench_fault_soak (E9), which exercises the
-// same machinery at scale.
+// with backoff, failing closed when the backend never answers). Companion
+// to bench_fault_soak (E9), which exercises the same machinery at scale.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -489,6 +489,42 @@ TEST(RedirectorHardening, BackendRetryWithBackoffRecoversLateBackend) {
   EXPECT_GE(red.stats().backend_retries, 1u);
   EXPECT_EQ(std::string(client.received().begin(), client.received().end()),
             "LATE BACKEND");
+}
+
+TEST(RedirectorHardening, BackendNeverUpFailsClientClosedAndRecyclesSlot) {
+  FaultWorld w;  // the backend never starts: every connect is refused
+  services::RmcRedirector red(w.redirector_stack, w.net, w.config());
+  ASSERT_TRUE(red.start().is_ok());
+
+  services::Client first = w.make_client(0xDEAD);
+  ASSERT_TRUE(first.start().is_ok());
+  ASSERT_TRUE(first.send(bytes_of("first")).is_ok());
+  w.run(red, {&first}, 1'000);
+
+  EXPECT_EQ(red.stats().backend_retries,
+            static_cast<u64>(services::RmcRedirector::kBackendRetryLimit));
+  std::vector<std::string> backend_log;
+  for (const std::string& line : red.log().entries()) {
+    if (line.rfind("backend-", 0) == 0) backend_log.push_back(line);
+  }
+  EXPECT_EQ(backend_log,
+            (std::vector<std::string>{"backend-retry 0", "backend-retry 0",
+                                      "backend-retry 0", "backend-dead 0"}));
+  // Fail closed: the client sees a reset, not an orderly close that would
+  // read as an empty reply. The slot's accounting is that of any other
+  // aborted session.
+  EXPECT_TRUE(first.failed());
+  EXPECT_TRUE(first.received().empty());
+  EXPECT_EQ(red.stats().connections_served, 1u);
+
+  // The single slot serves the next client once the backend is up.
+  ASSERT_TRUE(w.backend.start().is_ok());
+  services::Client second = w.make_client(0x5EC0);
+  ASSERT_TRUE(second.start().is_ok());
+  ASSERT_TRUE(second.send(bytes_of("second")).is_ok());
+  w.run(red, {&second}, 1'000);
+  EXPECT_EQ(std::string(second.received().begin(), second.received().end()),
+            "SECOND");
 }
 
 }  // namespace

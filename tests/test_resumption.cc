@@ -437,7 +437,9 @@ TEST(ResumptionTest, ReconnectingClientKeepsTicketAndReapsTcbs) {
   for (int i = 0; i < kCycles; ++i) {
     ASSERT_TRUE(w.echo(board, client, "cycle")) << "cycle " << i;
     if (client.resumed()) ++resumed;
-    if (i + 1 < kCycles) ASSERT_TRUE(client.reconnect().is_ok());
+    if (i + 1 < kCycles) {
+      ASSERT_TRUE(client.reconnect().is_ok());
+    }
   }
   EXPECT_EQ(resumed, kCycles - 1);  // everything after first contact resumes
   ASSERT_NE(board.redirector(), nullptr);
