@@ -2,8 +2,9 @@
 //
 // The workstation-side numbers behind the system: reference vs T-table AES
 // (the optimization gap *tuned C* buys on a 32-bit host, for contrast with
-// E1's 8-bit story), SHA-1/HMAC, the record layer, and the bignum/RSA
-// operations whose cost got RSA dropped from the port.
+// E1's 8-bit story; T-table decryption too, which every record open runs),
+// SHA-1/HMAC, the record layer, and the bignum/RSA operations whose cost got
+// RSA dropped from the port.
 #include <benchmark/benchmark.h>
 
 #include "common/prng.h"
@@ -51,6 +52,19 @@ void BM_AesFastEncrypt(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_AesFastEncrypt)->Arg(16)->Arg(24)->Arg(32);
+
+void BM_AesFastDecrypt(benchmark::State& state) {
+  const auto key = random_bytes(static_cast<std::size_t>(state.range(0)), 20);
+  auto aes = crypto::AesFast::create(key);
+  std::array<u8, 16> ct{}, pt{};
+  for (auto _ : state) {
+    aes->decrypt_block(ct, pt);
+    benchmark::DoNotOptimize(pt);
+    ct[0] = pt[0];
+  }
+  state.SetBytesProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_AesFastDecrypt)->Arg(16)->Arg(24)->Arg(32);
 
 void BM_AesKeyExpansion(benchmark::State& state) {
   auto key = random_bytes(static_cast<std::size_t>(state.range(0)), 3);

@@ -3,11 +3,16 @@
 #
 #   1. tier-1: build + ctest.
 #   2. sanitizers: ASan/UBSan builds of test_crypto (the BigNum limb
-#      kernels, Knuth D and Montgomery, index raw limb buffers; their
-#      differential tests against the bit-serial reference run here), of
-#      test_net and test_edges (the TCP tick list and demultiplexing
-#      indexes, erased while lookups run, and the 16k-connect port-wrap
-#      test), and of the soak and fault benches — E9 (wire faults), E10
+#      kernels, Knuth D and Montgomery, index raw limb buffers; the T-table
+#      AES, the unrolled SHA-1 and the keyed HMAC state index tables and
+#      rolling buffers; their differential tests against the bit-serial
+#      BigNum and the plain SHA-1/HMAC/PRF references run here), of
+#      test_issl and test_cryptocell (attacker-controlled records reach the
+#      per-direction HMAC state and the T-table decrypt there, and the
+#      crypto engine's use of AesFast and hmac_sha1), of test_net and
+#      test_edges (the TCP tick list and demultiplexing indexes, erased
+#      while lookups run, the bulk receive copy, and the 16k-connect
+#      port-wrap test), and of the soak and fault benches — E9 (wire faults), E10
 #      (board deaths), E11 (resumption), E12 (trace audit), E14 (crypto
 #      offload), E15 (hostile peers + fuzz), E16 (reduced-scale slab churn
 #      in quarantine/poison mode) and E17 (SLO timeline) — so every
@@ -52,11 +57,12 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan test_crypto/net/edges + E9-E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_crypto/issl/cryptocell/net/edges + E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
 cmake --build "$san_dir" -j --target test_crypto \
+  --target test_issl --target test_cryptocell \
   --target test_net --target test_edges \
   --target bench_fault_soak --target bench_crash_soak \
   --target bench_resumption --target bench_trace_audit \
@@ -73,7 +79,7 @@ for shard in 0 1 2 3; do
   shard_pids+=($!)
 done
 for pid in "${shard_pids[@]}"; do wait "$pid"; done
-for t in test_net test_edges; do
+for t in test_issl test_cryptocell test_net test_edges; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$san_dir/tests/$t" --gtest_brief=1
 done

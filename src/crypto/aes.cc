@@ -30,6 +30,7 @@ struct Tables {
   std::array<u8, 256> sbox;
   std::array<u8, 256> inv_sbox;
   std::array<u32, 256> te0, te1, te2, te3;
+  std::array<u32, 256> td0, td1, td2, td3;
 
   Tables() {
     // Multiplicative inverse via log/antilog over generator 3.
@@ -62,6 +63,15 @@ struct Tables {
       te1[i] = common::rotr32(t, 8);
       te2[i] = common::rotr32(t, 16);
       te3[i] = common::rotr32(t, 24);
+      // Td0[x] is column InvMixColumns(InvSubBytes(x), 0, 0, 0).
+      const u8 is = inv_sbox[i];
+      const u32 d = (static_cast<u32>(gf_mul(is, 14)) << 24) |
+                    (static_cast<u32>(gf_mul(is, 9)) << 16) |
+                    (static_cast<u32>(gf_mul(is, 13)) << 8) | gf_mul(is, 11);
+      td0[i] = d;
+      td1[i] = common::rotr32(d, 8);
+      td2[i] = common::rotr32(d, 16);
+      td3[i] = common::rotr32(d, 24);
     }
   }
 };
@@ -75,6 +85,13 @@ constexpr unsigned rounds_for(std::size_t key_len) {
   return static_cast<unsigned>(key_len / 4 + 6);
 }
 
+Status check_key_size(std::size_t key_len) {
+  if (key_len == 16 || key_len == 24 || key_len == 32) return Status::ok();
+  return Status(ErrorCode::kInvalidArgument,
+                "AES key must be 16/24/32 bytes, got " +
+                    std::to_string(key_len));
+}
+
 }  // namespace
 
 u8 aes_sbox(u8 x) { return tables().sbox[x]; }
@@ -85,11 +102,7 @@ u8 aes_inv_sbox(u8 x) { return tables().inv_sbox[x]; }
 // ---------------------------------------------------------------------------
 
 Result<Aes> Aes::create(std::span<const u8> key) {
-  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "AES key must be 16/24/32 bytes, got " +
-                      std::to_string(key.size()));
-  }
+  if (auto st = check_key_size(key.size()); !st.is_ok()) return st;
   Aes aes;
   aes.rounds_ = rounds_for(key.size());
   aes.expand_key(key);
@@ -197,39 +210,46 @@ void Aes::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
 // ---------------------------------------------------------------------------
 
 Result<AesFast> AesFast::create(std::span<const u8> key) {
-  auto ref = Aes::create(key);
-  if (!ref.ok()) return ref.status();
+  if (auto st = check_key_size(key.size()); !st.is_ok()) return st;
   AesFast fast;
-  fast.ref_ = *ref;
-  fast.rounds_ = ref->rounds();
-  // Expand again as big-endian words (a big-endian load of each 4-byte
-  // group of the byte schedule gives the word schedule).
+  fast.rounds_ = rounds_for(key.size());
   const unsigned nk = static_cast<unsigned>(key.size() / 4);
   const unsigned total_words = 4 * (fast.rounds_ + 1);
   auto& t = tables();
-  std::array<u8, 4 * 60> w{};
-  for (unsigned i = 0; i < nk * 4; ++i) w[i] = key[i];
+  auto sub_word = [&](u32 w) {
+    return static_cast<u32>(t.sbox[w >> 24]) << 24 |
+           static_cast<u32>(t.sbox[(w >> 16) & 0xFF]) << 16 |
+           static_cast<u32>(t.sbox[(w >> 8) & 0xFF]) << 8 |
+           static_cast<u32>(t.sbox[w & 0xFF]);
+  };
+  u32* ek = fast.enc_keys_.data();
+  for (unsigned i = 0; i < nk; ++i) {
+    ek[i] = common::load32be(key.subspan(4 * i, 4));
+  }
   u8 rcon = 0x01;
   for (unsigned i = nk; i < total_words; ++i) {
-    u8 word[4] = {w[(i - 1) * 4 + 0], w[(i - 1) * 4 + 1], w[(i - 1) * 4 + 2],
-                  w[(i - 1) * 4 + 3]};
+    u32 word = ek[i - 1];
     if (i % nk == 0) {
-      const u8 tmp = word[0];
-      word[0] = static_cast<u8>(t.sbox[word[1]] ^ rcon);
-      word[1] = t.sbox[word[2]];
-      word[2] = t.sbox[word[3]];
-      word[3] = t.sbox[tmp];
+      word = sub_word(common::rotl32(word, 8)) ^ static_cast<u32>(rcon) << 24;
       rcon = gf_mul(rcon, 2);
     } else if (nk > 6 && i % nk == 4) {
-      for (auto& b : word) b = t.sbox[b];
+      word = sub_word(word);
     }
-    for (unsigned j = 0; j < 4; ++j) {
-      w[i * 4 + j] = static_cast<u8>(w[(i - nk) * 4 + j] ^ word[j]);
-    }
+    ek[i] = ek[i - nk] ^ word;
   }
-  for (unsigned i = 0; i < total_words; ++i) {
-    fast.enc_keys_[i] =
-        common::load32be(std::span<const u8>(w.data() + i * 4, 4));
+  // Equivalent inverse cipher (FIPS-197 5.3.5): the encryption round keys
+  // in reverse order, InvMixColumns applied to every inner one. Td[sbox[b]]
+  // is InvMixColumns of a lone byte b, so four lookups transform a word.
+  u32* dk = fast.dec_keys_.data();
+  for (unsigned r = 0; r <= fast.rounds_; ++r) {
+    for (unsigned j = 0; j < 4; ++j) {
+      const u32 w = ek[4 * (fast.rounds_ - r) + j];
+      dk[4 * r + j] =
+          (r == 0 || r == fast.rounds_)
+              ? w
+              : t.td0[t.sbox[w >> 24]] ^ t.td1[t.sbox[(w >> 16) & 0xFF]] ^
+                    t.td2[t.sbox[(w >> 8) & 0xFF]] ^ t.td3[t.sbox[w & 0xFF]];
+    }
   }
   return fast;
 }
@@ -273,7 +293,43 @@ void AesFast::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
 }
 
 void AesFast::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
-  ref_.decrypt_block(in, out);
+  assert(in.size() >= kAesBlockBytes && out.size() >= kAesBlockBytes);
+  auto& t = tables();
+  const u32* rk = dec_keys_.data();
+  u32 s0 = common::load32be(in.subspan(0, 4)) ^ rk[0];
+  u32 s1 = common::load32be(in.subspan(4, 4)) ^ rk[1];
+  u32 s2 = common::load32be(in.subspan(8, 4)) ^ rk[2];
+  u32 s3 = common::load32be(in.subspan(12, 4)) ^ rk[3];
+
+  // InvShiftRows moves row r right by r, so column c's byte r comes from
+  // column c - r: the mirror of encrypt's (c + r).
+  for (unsigned round = 1; round < rounds_; ++round) {
+    rk += 4;
+    const u32 t0 = t.td0[s0 >> 24] ^ t.td1[(s3 >> 16) & 0xFF] ^
+                   t.td2[(s2 >> 8) & 0xFF] ^ t.td3[s1 & 0xFF] ^ rk[0];
+    const u32 t1 = t.td0[s1 >> 24] ^ t.td1[(s0 >> 16) & 0xFF] ^
+                   t.td2[(s3 >> 8) & 0xFF] ^ t.td3[s2 & 0xFF] ^ rk[1];
+    const u32 t2 = t.td0[s2 >> 24] ^ t.td1[(s1 >> 16) & 0xFF] ^
+                   t.td2[(s0 >> 8) & 0xFF] ^ t.td3[s3 & 0xFF] ^ rk[2];
+    const u32 t3 = t.td0[s3 >> 24] ^ t.td1[(s2 >> 16) & 0xFF] ^
+                   t.td2[(s1 >> 8) & 0xFF] ^ t.td3[s0 & 0xFF] ^ rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+  rk += 4;
+  auto final_word = [&](u32 a, u32 b, u32 c, u32 d, u32 k) {
+    return (static_cast<u32>(t.inv_sbox[a >> 24]) << 24 |
+            static_cast<u32>(t.inv_sbox[(b >> 16) & 0xFF]) << 16 |
+            static_cast<u32>(t.inv_sbox[(c >> 8) & 0xFF]) << 8 |
+            static_cast<u32>(t.inv_sbox[d & 0xFF])) ^
+           k;
+  };
+  common::store32be(out.subspan(0, 4), final_word(s0, s3, s2, s1, rk[0]));
+  common::store32be(out.subspan(4, 4), final_word(s1, s0, s3, s2, rk[1]));
+  common::store32be(out.subspan(8, 4), final_word(s2, s1, s0, s3, rk[2]));
+  common::store32be(out.subspan(12, 4), final_word(s3, s2, s1, s0, rk[3]));
 }
 
 }  // namespace rmc::crypto

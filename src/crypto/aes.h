@@ -6,13 +6,16 @@
 //    SubBytes/ShiftRows/MixColumns/AddRoundKey). This is the "C port" shape,
 //    and the model for dc/aes.dc.
 //  * `AesFast` — the 32-bit T-table implementation typical of tuned C on
-//    workstations. Used by the host-side issl build and by E8's primitive
-//    comparison.
+//    workstations, both directions: Te tables for encryption, Td tables and
+//    the equivalent-inverse-cipher key schedule for decryption. Used by the
+//    host-side issl build and by E8's primitive comparison; differential
+//    tests hold it to `Aes`.
 //
 // Both support 128/192/256-bit keys (the paper: "issl supports key lengths of
 // 128, 192, or 256 bits"); the embedded port pins 128 (see issl/config).
-// S-boxes and T-tables are derived at startup from GF(2^8) arithmetic rather
-// than transcribed constants; FIPS-197 known-answer tests pin correctness.
+// S-boxes and Te/Td tables are derived at startup from GF(2^8) arithmetic
+// rather than transcribed constants; FIPS-197 known-answer tests pin
+// correctness.
 #pragma once
 
 #include <array>
@@ -62,11 +65,13 @@ class Aes {
   unsigned rounds_ = 0;
 };
 
-/// T-table AES (encrypt side shares the schedule logic with `Aes`;
-/// decryption uses the reference path since bulk TLS decryption shares the
-/// same tables in practice and the benches only sweep encryption).
+/// T-table AES: four table lookups per output column and round, in both
+/// directions. Independent of `Aes` (its own word-wise key schedule), so the
+/// two check each other.
 class AesFast {
  public:
+  /// Expands both key schedules. Fails on a key length that is not
+  /// 16/24/32.
   static common::Result<AesFast> create(std::span<const u8> key);
 
   void encrypt_block(std::span<const u8> in, std::span<u8> out) const;
@@ -75,9 +80,12 @@ class AesFast {
  private:
   AesFast() = default;
 
-  std::array<u32, 4 * 15> enc_keys_{};  // round keys as big-endian words
+  // Round keys as big-endian words. dec_keys_ is the equivalent inverse
+  // cipher's schedule: enc_keys_ reversed by round, InvMixColumns applied
+  // to the inner rounds.
+  std::array<u32, 4 * 15> enc_keys_{};
+  std::array<u32, 4 * 15> dec_keys_{};
   unsigned rounds_ = 0;
-  Aes ref_;  // decrypt fallback + schedule source
 };
 
 }  // namespace rmc::crypto

@@ -5,7 +5,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "common/bytes.h"
 
@@ -15,7 +14,9 @@ using common::u8;
 
 inline constexpr std::size_t kSha1DigestBytes = 20;
 
-/// Incremental SHA-1 (FIPS 180-1).
+/// Incremental SHA-1 (FIPS 180-1). The compression is fully unrolled over a
+/// rolling 16-word message schedule; tests hold it to a plain 80-word
+/// reference.
 class Sha1 {
  public:
   Sha1() { reset(); }
@@ -36,13 +37,42 @@ class Sha1 {
   common::u64 total_bytes_ = 0;
 };
 
-/// HMAC-SHA1 (RFC 2104).
+/// An HMAC-SHA1 key (RFC 2104) with its two pad blocks already absorbed:
+/// the SHA-1 states after the ipad block (K ^ 0x36..) and after the opad
+/// block (K ^ 0x5C..). A MAC then costs the message's compressions plus two
+/// (inner and outer finish), not plus four, and a message can arrive in
+/// several updates:
+///
+///   Sha1 h = key.begin();
+///   h.update(header);
+///   h.update(body);
+///   auto tag = key.finish(h);  // == hmac_sha1(raw_key, header || body)
+class HmacSha1Key {
+ public:
+  /// Keys longer than one block are hashed first, as RFC 2104 requires.
+  explicit HmacSha1Key(std::span<const u8> key);
+
+  /// A copy of the inner state, ready for the message.
+  Sha1 begin() const { return inner_; }
+  /// Completes the inner hash begun by begin() and returns the MAC; `inner`
+  /// is reset.
+  std::array<u8, kSha1DigestBytes> finish(Sha1& inner) const;
+  /// begin(), one update of `message`, finish().
+  std::array<u8, kSha1DigestBytes> mac(std::span<const u8> message) const;
+
+ private:
+  Sha1 inner_;
+  Sha1 outer_;
+};
+
+/// HMAC-SHA1 (RFC 2104) in one call; builds an HmacSha1Key each time.
 std::array<u8, kSha1DigestBytes> hmac_sha1(std::span<const u8> key,
                                            std::span<const u8> message);
 
 /// Key-derivation PRF: expands (secret, label, seed) into `out.size()` bytes
 /// by counter-mode HMAC-SHA1, the shape of the SSLv3/TLS key-block
-/// expansion. Both issl endpoints must call it with identical inputs.
+/// expansion: block i is HMAC(secret, i || label || seed), i a one-byte
+/// counter from 0. Both issl endpoints must call it with identical inputs.
 void prf_sha1(std::span<const u8> secret, std::span<const u8> label,
               std::span<const u8> seed, std::span<u8> out);
 

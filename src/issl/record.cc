@@ -87,10 +87,8 @@ Status RecordCodec::activate_keys(const DirectionKeys& send,
   if (!send_cipher.ok()) return send_cipher.status();
   auto recv_cipher = crypto::AesFast::create(recv.aes_key);
   if (!recv_cipher.ok()) return recv_cipher.status();
-  send_keys_ = send;
-  recv_keys_ = recv;
-  send_cipher_ = std::move(*send_cipher);
-  recv_cipher_ = std::move(*recv_cipher);
+  send_ = Direction{send, *send_cipher, crypto::HmacSha1Key(send.mac_key)};
+  recv_ = Direction{recv, *recv_cipher, crypto::HmacSha1Key(recv.mac_key)};
   sealed_ = true;
 
   // Resolve the backend now that crypto is about to start. A configured
@@ -113,44 +111,46 @@ Status RecordCodec::activate_keys(const DirectionKeys& send,
   return Status::ok();
 }
 
-std::vector<u8> RecordCodec::mac_input(u64 seq, RecordType type,
-                                       std::span<const u8> plaintext) const {
-  std::vector<u8> msg;
-  msg.reserve(9 + plaintext.size());
-  for (int i = 7; i >= 0; --i) msg.push_back(static_cast<u8>(seq >> (8 * i)));
-  msg.push_back(static_cast<u8>(type));
-  msg.insert(msg.end(), plaintext.begin(), plaintext.end());
-  return msg;
-}
-
 common::Result<std::array<u8, 20>> RecordCodec::record_mac(
-    const DirectionKeys& keys, u64 seq, RecordType type,
+    const Direction& dir, u64 seq, RecordType type,
     std::span<const u8> plaintext) {
-  const auto msg = mac_input(seq, type, plaintext);
+  // The MAC covers seq (8 bytes, big-endian) || type || plaintext.
+  std::array<u8, 9> header{};
+  for (int i = 0; i < 8; ++i) {
+    header[i] = static_cast<u8>(seq >> (56 - 8 * i));
+  }
+  header[8] = static_cast<u8>(type);
+  const std::size_t msg_bytes = header.size() + plaintext.size();
   switch (effective_backend_) {
     case Backend::kEngine: {
+      // The engine API takes the message as one buffer.
+      std::vector<u8> msg(header.begin(), header.end());
+      msg.insert(msg.end(), plaintext.begin(), plaintext.end());
       const u64 before = engine_->stall_cycles_total();
-      auto digest = engine_->hmac_sha1(keys.mac_key, msg);
+      auto digest = engine_->hmac_sha1(dir.keys.mac_key, msg);
       crypto_cost_cycles_ += engine_->stall_cycles_total() - before;
       return digest;
     }
     case Backend::kAsm:
-      crypto_cost_cycles_ += software_hmac_cycles(kAsmCost, msg.size());
+      crypto_cost_cycles_ += software_hmac_cycles(kAsmCost, msg_bytes);
       break;
     case Backend::kC:
-      crypto_cost_cycles_ += software_hmac_cycles(kCCost, msg.size());
+      crypto_cost_cycles_ += software_hmac_cycles(kCCost, msg_bytes);
       break;
   }
-  return crypto::hmac_sha1(keys.mac_key, msg);
+  crypto::Sha1 inner = dir.mac.begin();
+  inner.update(header);
+  inner.update(plaintext);
+  return dir.mac.finish(inner);
 }
 
 common::Result<std::vector<u8>> RecordCodec::backend_cbc(
-    bool encrypt, const DirectionKeys& keys, const crypto::AesFast& cipher,
-    std::span<const u8> iv, std::span<const u8> data) {
+    bool encrypt, const Direction& dir, std::span<const u8> iv,
+    std::span<const u8> data) {
   switch (effective_backend_) {
     case Backend::kEngine: {
       const u64 before = engine_->stall_cycles_total();
-      auto out = engine_->aes_cbc(encrypt, keys.aes_key, iv, data);
+      auto out = engine_->aes_cbc(encrypt, dir.keys.aes_key, iv, data);
       crypto_cost_cycles_ += engine_->stall_cycles_total() - before;
       return out;
     }
@@ -163,8 +163,8 @@ common::Result<std::vector<u8>> RecordCodec::backend_cbc(
           (data.size() / crypto::kAesBlockBytes) * kCCost.aes_block_cycles;
       break;
   }
-  return encrypt ? crypto::cbc_encrypt(cipher, iv, data)
-                 : crypto::cbc_decrypt(cipher, iv, data);
+  return encrypt ? crypto::cbc_encrypt(dir.cipher, iv, data)
+                 : crypto::cbc_decrypt(dir.cipher, iv, data);
 }
 
 Result<std::vector<u8>> RecordCodec::seal(RecordType type,
@@ -177,14 +177,14 @@ Result<std::vector<u8>> RecordCodec::seal(RecordType type,
     body.assign(plaintext.begin(), plaintext.end());
   } else {
     // plaintext || MAC, padded, CBC under a fresh IV.
-    const auto mac = record_mac(send_keys_, seq_send_, type, plaintext);
+    const auto mac = record_mac(*send_, seq_send_, type, plaintext);
     if (!mac.ok()) return mac.status();
     std::vector<u8> with_mac(plaintext.begin(), plaintext.end());
     with_mac.insert(with_mac.end(), mac->begin(), mac->end());
     const auto padded = crypto::pkcs7_pad(with_mac, crypto::kAesBlockBytes);
     std::vector<u8> iv(crypto::kAesBlockBytes);
     rng_->fill(iv);
-    auto ct = backend_cbc(true, send_keys_, *send_cipher_, iv, padded);
+    auto ct = backend_cbc(true, *send_, iv, padded);
     if (!ct.ok()) return ct.status();
     body = std::move(iv);
     body.insert(body.end(), ct->begin(), ct->end());
@@ -216,7 +216,7 @@ Result<std::vector<u8>> RecordCodec::open_payload(RecordType type,
   }
   const auto iv = wire.subspan(0, crypto::kAesBlockBytes);
   const auto ct = wire.subspan(crypto::kAesBlockBytes);
-  const auto padded = backend_cbc(false, recv_keys_, *recv_cipher_, iv, ct);
+  const auto padded = backend_cbc(false, *recv_, iv, ct);
   if (!padded.ok()) return padded.status();
   auto unpadded = crypto::pkcs7_unpad(*padded, crypto::kAesBlockBytes);
   if (!unpadded.ok()) {
@@ -231,7 +231,7 @@ Result<std::vector<u8>> RecordCodec::open_payload(RecordType type,
   std::span<const u8> data(unpadded->data(), data_len);
   std::span<const u8> mac(unpadded->data() + data_len,
                           crypto::kSha1DigestBytes);
-  const auto expect = record_mac(recv_keys_, seq_recv_, type, data);
+  const auto expect = record_mac(*recv_, seq_recv_, type, data);
   if (!expect.ok()) return expect.status();
   if (!common::ct_equal(mac, *expect)) {
     mac_fail_counter().add();

@@ -126,16 +126,22 @@ class RecordCodec {
   /// Record one refused-as-malformed input, mirrored into the global
   /// `issl.malformed_records` counter.
   void note_malformed();
+  /// One direction's key material once activated: the raw keys (what the
+  /// engine backend loads) and the host cipher and HMAC states built from
+  /// them once, not per record.
+  struct Direction {
+    DirectionKeys keys;
+    crypto::AesFast cipher;
+    crypto::HmacSha1Key mac;
+  };
+
   common::Result<std::vector<u8>> open_payload(RecordType type,
                                                std::span<const u8> wire);
-  std::vector<u8> mac_input(u64 seq, RecordType type,
-                            std::span<const u8> plaintext) const;
   common::Result<std::array<u8, 20>> record_mac(
-      const DirectionKeys& keys, u64 seq, RecordType type,
+      const Direction& dir, u64 seq, RecordType type,
       std::span<const u8> plaintext);
   common::Result<std::vector<u8>> backend_cbc(bool encrypt,
-                                              const DirectionKeys& keys,
-                                              const crypto::AesFast& cipher,
+                                              const Direction& dir,
                                               std::span<const u8> iv,
                                               std::span<const u8> data);
 
@@ -148,10 +154,8 @@ class RecordCodec {
   bool sealed_ = false;
   bool poisoned_ = false;
   u64 malformed_records_ = 0;
-  DirectionKeys send_keys_;
-  DirectionKeys recv_keys_;
-  std::optional<crypto::AesFast> send_cipher_;
-  std::optional<crypto::AesFast> recv_cipher_;
+  std::optional<Direction> send_;
+  std::optional<Direction> recv_;
   u64 seq_send_ = 0;
   u64 seq_recv_ = 0;
   std::vector<u8> rx_buffer_;

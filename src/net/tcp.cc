@@ -197,10 +197,9 @@ Result<std::size_t> TcpStack::recv(int sock, std::span<u8> out) {
     return Status(ErrorCode::kUnavailable, "no data");
   }
   const std::size_t n = std::min(out.size(), t->recv_queue.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = t->recv_queue.front();
-    t->recv_queue.pop_front();
-  }
+  const auto end = t->recv_queue.begin() + static_cast<long>(n);
+  std::copy(t->recv_queue.begin(), end, out.begin());
+  t->recv_queue.erase(t->recv_queue.begin(), end);
   return n;
 }
 

@@ -1,11 +1,14 @@
 // Crypto tests: FIPS-197 known answers for AES (all key sizes, both
-// implementations), RFC 3174 / RFC 2202 vectors for SHA-1 / HMAC-SHA1,
+// implementations, both directions) and the T-table AES held to the
+// byte-oriented one, RFC 3174 / RFC 2202 vectors for SHA-1 / HMAC-SHA1 and
+// SHA-1, HMAC and PRF held to the plain reference in crypto_reference.h,
 // property tests for modes and bignum, the word-level bignum kernels held to
 // the bit-serial reference, fail-stop preconditions, and RSA round trips,
 // pinned keys and the CRT private operation.
 #include <gtest/gtest.h>
 
 #include "bignum_reference.h"
+#include "crypto_reference.h"
 #include "common/bytes.h"
 #include "common/prng.h"
 #include "crypto/aes.h"
@@ -136,18 +139,29 @@ TEST(Aes, RejectsBadKeyLength) {
 }
 
 TEST(Aes, FastAgreesWithReferenceOnRandomInputs) {
+  // 1,000 random blocks per key size under 20 keys each. Decrypting a random
+  // block (not only a ciphertext) compares the two inverse ciphers as maps.
   common::Xorshift64 rng(42);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<u8> key(16 + 8 * (trial % 3));
-    rng.fill(key);
-    auto ref = Aes::create(key);
-    auto fast = AesFast::create(key);
-    ASSERT_TRUE(ref.ok() && fast.ok());
-    std::array<u8, 16> pt{}, a{}, b{};
-    rng.fill(pt);
-    ref->encrypt_block(pt, a);
-    fast->encrypt_block(pt, b);
-    EXPECT_EQ(a, b);
+  for (const std::size_t key_len : {16, 24, 32}) {
+    for (int k = 0; k < 20; ++k) {
+      std::vector<u8> key(key_len);
+      rng.fill(key);
+      auto ref = Aes::create(key);
+      auto fast = AesFast::create(key);
+      ASSERT_TRUE(ref.ok() && fast.ok());
+      for (int block = 0; block < 50; ++block) {
+        std::array<u8, 16> in{}, a{}, b{}, back{};
+        rng.fill(in);
+        ref->encrypt_block(in, a);
+        fast->encrypt_block(in, b);
+        ASSERT_EQ(a, b) << key_len << "-byte key " << k << ", encrypt";
+        ref->decrypt_block(in, a);
+        fast->decrypt_block(in, b);
+        ASSERT_EQ(a, b) << key_len << "-byte key " << k << ", decrypt";
+        fast->encrypt_block(b, back);
+        ASSERT_EQ(back, in) << key_len << "-byte key " << k << ", round trip";
+      }
+    }
   }
 }
 
@@ -213,6 +227,23 @@ TEST(Modes, CbcRoundTripAndChaining) {
   const auto ct2 = cbc_encrypt(*aes, iv, repeated);
   EXPECT_NE(std::vector<u8>(ct2.begin(), ct2.begin() + 16),
             std::vector<u8>(ct2.begin() + 16, ct2.end()));
+}
+
+TEST(Modes, CbcInteroperatesBetweenFastAndReference) {
+  common::Xorshift64 rng(5);
+  for (const std::size_t key_len : {16, 24, 32}) {
+    std::vector<u8> key(key_len), iv(16), pt(16 * 37);
+    rng.fill(key);
+    rng.fill(iv);
+    rng.fill(pt);
+    auto ref = Aes::create(key);
+    auto fast = AesFast::create(key);
+    ASSERT_TRUE(ref.ok() && fast.ok());
+    const auto ct = cbc_encrypt(*fast, iv, pt);
+    EXPECT_EQ(ct, cbc_encrypt(*ref, iv, pt)) << key_len;
+    EXPECT_EQ(cbc_decrypt(*ref, iv, ct), pt) << key_len;
+    EXPECT_EQ(cbc_decrypt(*fast, iv, ct), pt) << key_len;
+  }
 }
 
 TEST(Modes, CbcIvChangesCiphertext) {
@@ -323,6 +354,74 @@ TEST(Prf, PrefixConsistency) {
   prf_sha1(secret, label, seed, small);
   prf_sha1(secret, label, seed, large);
   EXPECT_TRUE(std::equal(small.begin(), small.end(), large.begin()));
+}
+
+// ---------------------------------------------------------------------------
+// SHA-1 / HMAC / PRF against the reference (crypto_reference.h)
+// ---------------------------------------------------------------------------
+
+TEST(Sha1Differential, EveryLengthTo320WholeAndChunked) {
+  // Lengths 0-320 put the message end at every offset of a block, both
+  // sides of the 55/56-byte padding boundary, over one to six blocks.
+  common::Xorshift64 rng(21);
+  std::vector<u8> data(320);
+  rng.fill(data);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const u8> msg(data.data(), len);
+    const auto want = ref::Sha1::digest(msg);
+    EXPECT_EQ(Sha1::digest(msg), want) << "whole, " << len << " B";
+    Sha1 s;
+    for (std::size_t off = 0; off < len;) {
+      const std::size_t n = std::min<std::size_t>(len - off,
+                                                   1 + rng.next_below(100));
+      s.update(msg.subspan(off, n));
+      off += n;
+    }
+    EXPECT_EQ(s.finish(), want) << "seeded chunks, " << len << " B";
+  }
+}
+
+TEST(HmacDifferential, KeysTo130BytesMessagesTo200Bytes) {
+  // Keys cross the 64-byte block (hashed first above it); messages are fed
+  // whole, through the one-call hmac_sha1, and in two updates.
+  common::Xorshift64 rng(22);
+  std::vector<u8> key(130), msg(200);
+  rng.fill(key);
+  rng.fill(msg);
+  for (std::size_t klen = 0; klen <= key.size(); ++klen) {
+    const std::span<const u8> k(key.data(), klen);
+    const HmacSha1Key keyed(k);
+    for (std::size_t mlen = 0; mlen <= msg.size(); ++mlen) {
+      const std::span<const u8> m(msg.data(), mlen);
+      const auto want = ref::hmac_sha1(k, m);
+      ASSERT_EQ(keyed.mac(m), want) << klen << " B key, " << mlen << " B msg";
+      ASSERT_EQ(hmac_sha1(k, m), want) << klen << " B key, " << mlen << " B";
+      Sha1 inner = keyed.begin();
+      inner.update(m.first(mlen / 3));
+      inner.update(m.subspan(mlen / 3));
+      ASSERT_EQ(keyed.finish(inner), want)
+          << klen << " B key, " << mlen << " B msg in two updates";
+    }
+  }
+}
+
+TEST(PrfDifferential, OutputLengths1To100) {
+  common::Xorshift64 rng(23);
+  std::vector<u8> secret(48), seed(64);
+  rng.fill(secret);
+  rng.fill(seed);
+  const std::vector<u8> label{'k', 'e', 'y', ' ', 'b', 'l', 'o', 'c', 'k'};
+  for (std::size_t n = 1; n <= 100; ++n) {
+    std::vector<u8> got(n), want(n);
+    prf_sha1(secret, label, seed, got);
+    ref::prf_sha1(secret, label, seed, want);
+    EXPECT_EQ(got, want) << n << " B";
+  }
+  // Empty label and seed: the message is the counter byte alone.
+  std::vector<u8> got(45), want(45);
+  prf_sha1(secret, {}, {}, got);
+  ref::prf_sha1(secret, {}, {}, want);
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------

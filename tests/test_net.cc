@@ -3,6 +3,7 @@
 // API facades (BSD-style and Dynamic-C-style).
 #include <gtest/gtest.h>
 
+#include "common/prng.h"
 #include "net/bsd.h"
 #include "net/dcnet.h"
 #include "net/simnet.h"
@@ -138,6 +139,37 @@ TEST(Tcp, LargeTransferSegmentsAndReassembles) {
     got.insert(got.end(), part.begin(), part.end());
   }
   EXPECT_EQ(got, big);
+}
+
+TEST(Tcp, RecvReadsAcrossQueueChunkBoundaries) {
+  // Reads of 1, 511, 513 and 2,000 bytes and then the rest cross the
+  // receive deque's internal 512-byte chunks at different offsets; every
+  // byte must come back once, in order, and bytes_available() must fall by
+  // each read.
+  TwoHosts h;
+  auto [sconn, cconn] = h.connect();
+  std::vector<u8> sent(3'300);
+  common::Xorshift64 rng(17);
+  rng.fill(sent);
+  ASSERT_TRUE(h.client.send(cconn, sent).ok());
+  for (int i = 0; i < 200 && h.server.bytes_available(sconn) < sent.size();
+       ++i) {
+    h.net.tick(1);
+  }
+  ASSERT_EQ(h.server.bytes_available(sconn), sent.size());
+  std::vector<u8> got;
+  for (std::size_t want : {std::size_t{1}, std::size_t{511}, std::size_t{513},
+                           std::size_t{2'000}, std::size_t{4'096}}) {
+    const std::size_t before = h.server.bytes_available(sconn);
+    std::vector<u8> buf(want);
+    auto n = h.server.recv(sconn, buf);
+    ASSERT_TRUE(n.ok()) << n.status().to_string();
+    EXPECT_EQ(*n, std::min(want, before));
+    EXPECT_EQ(h.server.bytes_available(sconn), before - *n);
+    got.insert(got.end(), buf.begin(), buf.begin() + static_cast<long>(*n));
+  }
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(h.server.bytes_available(sconn), 0u);
 }
 
 TEST(Tcp, RecoversFromHeavyLoss) {
