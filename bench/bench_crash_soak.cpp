@@ -65,7 +65,6 @@ CrashResult run_scenario(u64 seed, Death death, u64 max_ms, u64 spawn_until) {
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
   cfg.power_off_ms = 50;
-  cfg.reboot_ms = 2;
   if (death == Death::kPowerCut) {
     // Gaps are fault points, not ms: each durable commit contributes three,
     // every main-loop pass one. Most random cuts land between commits; the

@@ -142,7 +142,6 @@ Outcome run_scenario(u64 seed, telemetry::Sampler* sampler,
   cfg.board_ip = bench::kBoardIp;
   cfg.net_seed = seed * 131;
   cfg.power_off_ms = kPowerOffMs;
-  cfg.reboot_ms = 2;
   cfg.power_plan = dynk::PowerFaultPlan::at({kPowerCutStep});
   services::ServiceBoard board(medium, cfg);
   if (sampler != nullptr) board.attach_sampler(sampler);

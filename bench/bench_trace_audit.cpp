@@ -94,7 +94,6 @@ SoakResult run_soak(u64 seed, bool traced, u64 max_ms, u64 spawn_until,
   cfg.board_ip = bench::kBoardIp;
   cfg.net_seed = seed * 131;
   cfg.wdt_period_ms = 400;
-  cfg.reboot_ms = 2;
   services::ServiceBoard board(medium, cfg);
 
   issl::Config ctls = issl::Config::embedded_port();

@@ -1,8 +1,8 @@
 // Shared soak harness for the redirector benches (DESIGN.md §4): the
-// board/backend/client world, the chunked-echo client, the on-board kernel
-// costs and E5's sequential echo loop. Each bench keeps its own main loop,
-// scenarios, seeds and gates; only code that several benches used to copy
-// from each other lives here.
+// board/backend/client world, the chunked-echo client, the on-board and
+// engine kernel costs and E5's sequential echo loop. Each bench keeps its
+// own main loop, scenarios, seeds and gates; only code that several benches
+// used to copy from each other lives here.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 
 #include "bench_util.h"
 #include "dcc/codegen.h"
+#include "dynk/cryptodev.h"
 #include "rabbit/board.h"
 #include "services/aes_port.h"
 #include "services/redirector.h"
@@ -188,6 +189,48 @@ inline BoardKernels measure_board_kernels(services::AesImpl impl,
     k.sha_block = k.sha_block * k.aes_block / *c_aes.encrypt(block, ct);
   }
   return k;
+}
+
+/// The same kernels on the CryptoCell engine, measured through the driver
+/// as CPU stall cycles per op: descriptor fetch, DMA and poll-quantum
+/// rounding included, the "what does the CPU see" number rather than the
+/// datasheet figure. `key_sched` is the key-slot load.
+inline BoardKernels measure_engine() {
+  rabbit::Board board;
+  board.attach_cryptocell();
+  dynk::CryptoDev dev(board.io(), board.mem());
+  if (!dev.available()) {
+    std::fputs("engine did not answer its probe\n", stderr);
+    std::exit(1);
+  }
+  const std::vector<u8> key(16, 0x42), iv(16, 0x17), mac_key(20, 0x33);
+  const auto aes_op = [&](std::size_t blocks, u8 fill) {
+    const u64 before = dev.stall_cycles_total();
+    (void)dev.aes_cbc(true, key, iv, std::vector<u8>(blocks * 16, fill));
+    return dev.stall_cycles_total() - before;
+  };
+  const auto hmac_op = [&](std::size_t blocks, u8 fill) {
+    const u64 before = dev.stall_cycles_total();
+    (void)dev.hmac_sha1(mac_key, std::vector<u8>(blocks * 64, fill));
+    return dev.stall_cycles_total() - before;
+  };
+  // The first op carries the key-slot load, a repeat op does not. The
+  // marginal cost over a 33-block op amortizes the descriptor and poll
+  // rounding out of the per-block figures.
+  BoardKernels k;
+  const u64 first_op = aes_op(1, 1);
+  const u64 one_block = aes_op(1, 1);
+  k.key_sched = first_op - one_block;
+  k.aes_block = (aes_op(33, 2) - one_block) / 32;
+  const u64 one_hmac = hmac_op(1, 3);
+  k.sha_block = std::max<u64>((hmac_op(33, 4) - one_hmac) / 32, 1);
+  return k;
+}
+
+/// Board-clock cycles of `work` at kernel costs `k`.
+inline u64 price(const issl::RecordWork& work, const BoardKernels& k) {
+  return work.key_schedules * k.key_sched + work.aes_blocks * k.aes_block +
+         work.sha1_blocks * k.sha_block;
 }
 
 /// The redirector's CPU-cost model for one kernel generation.

@@ -13,8 +13,8 @@
 #      test_edges (the TCP tick list and demultiplexing indexes, erased
 #      while lookups run, the bulk receive copy, and the 16k-connect
 #      port-wrap test), and of the soak and fault benches — E9 (wire faults), E10
-#      (board deaths), E11 (resumption), E12 (trace audit), E14 (crypto
-#      offload), E15 (hostile peers + fuzz), E16 (reduced-scale slab churn
+#      (board deaths), E11 (resumption), E12 (trace audit), E14 (the engine
+#      record gate), E15 (hostile peers + fuzz), E16 (reduced-scale slab churn
 #      in quarantine/poison mode) and E17 (SLO timeline) — so every
 #      corruption, teardown, recovery, parse and tracing path runs
 #      sanitizer-clean. E16's reduced-scale JSON, E12's Chrome trace +
@@ -95,8 +95,9 @@ done
 cmp "$tmp/e12a.trace.json" "$tmp/e12b.trace.json"
 cmp "$tmp/e12a.pcap" "$tmp/e12b.pcap"
 echo "E12: trace and pcap identical"
-# E14 carries its own PASS/FAIL gate (engine wire identity + >=5x per
-# record); a nonzero exit here fails the check either way.
+# E14 is the engine record gate: wire identity with software, clean
+# fallback, and the engine >=5x cheaper per record than the C port priced
+# from measured kernels; a nonzero exit here fails the check either way.
 "$san_dir/bench/bench_crypto_offload"
 # E15 likewise: never-wedge, zero corruption, full flight-recorder
 # attribution, legit goodput under attack — plus the fuzz phase, which

@@ -14,6 +14,19 @@ using common::u8;
 
 inline constexpr std::size_t kSha1DigestBytes = 20;
 
+/// SHA-1 compressions in the digest of a `message_bytes` message: the
+/// message plus its 9-byte minimum padding, in 64-byte blocks.
+constexpr common::u64 sha1_blocks(std::size_t message_bytes) {
+  return (message_bytes + 9 + 63) / 64;
+}
+
+/// SHA-1 compressions in one HMAC-SHA1 (RFC 2104) from the raw key: the
+/// ipad block and the padded message, then the opad block and the inner
+/// digest. Board cost models count this, not HmacSha1Key's host shortcut.
+constexpr common::u64 hmac_sha1_blocks(std::size_t message_bytes) {
+  return 1 + sha1_blocks(message_bytes) + 2;
+}
+
 /// Incremental SHA-1 (FIPS 180-1). The compression is fully unrolled over a
 /// rolling 16-word message schedule; tests hold it to a plain 80-word
 /// reference.

@@ -76,7 +76,6 @@ class CryptoDev : public issl::RecordEngine {
                                           std::span<const u8> data) override;
   common::Result<std::array<u8, 20>> hmac_sha1(
       std::span<const u8> key, std::span<const u8> message) override;
-  u64 stall_cycles_total() const override { return stall_cycles_; }
 
   // --- Async ops (cofunction-friendly) -----------------------------------
   /// Stage and start an op; at most one op may be outstanding
@@ -98,6 +97,7 @@ class CryptoDev : public issl::RecordEngine {
   std::array<u8, 20> take_digest();
 
   // --- Introspection ------------------------------------------------------
+  u64 stall_cycles_total() const { return stall_cycles_; }
   u64 ops_completed() const { return ops_; }
   u64 key_loads() const { return key_loads_; }
   u64 key_cache_hits() const { return key_cache_hits_; }

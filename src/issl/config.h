@@ -15,25 +15,12 @@
 
 namespace rmc::issl {
 
-class RecordEngine;  // issl/engine.h — crypto offload (Backend::kEngine)
+class RecordEngine;  // issl/engine.h — crypto offload
 
 enum class KeyExchange {
   kRsa,  // RSA-encrypted premaster secret (needs the bignum package)
   kPsk,  // pre-shared key (what the port fell back to)
 };
-
-/// Where record-layer bulk crypto (AES-CBC + HMAC-SHA1) runs. The paper's
-/// two software answers — the direct C port and the hand-assembly rewrite —
-/// plus the modern third one: a memory-mapped offload engine (ROADMAP item
-/// 3). Wire bytes are identical across all three; only the modeled cycle
-/// cost (and for kEngine, which hardware does the work) differs.
-enum class Backend {
-  kC,       // portable C port (the paper's starting point)
-  kAsm,     // hand-assembly inner loops (the paper's shipped answer)
-  kEngine,  // CryptoCell offload via an issl::RecordEngine
-};
-
-const char* backend_name(Backend b);
 
 /// RSA modulus bounds, shared by the server's Config::valid() and the
 /// client's check of the public key a ServerHello carries. PKCS#1 type-2
@@ -48,11 +35,10 @@ struct Config {
   std::size_t aes_key_bits = 128;  // 128 / 192 / 256
   std::size_t rsa_modulus_bits = 256;  // small for simulation speed
 
-  // Record-layer backend. kEngine needs `engine` wired to a driver (e.g.
-  // dynk::CryptoDev); a null or unavailable engine falls back to kC at key
-  // activation so a service configured for offload still runs on a stock
-  // board (Session::engine_fallback() reports when that happened).
-  Backend backend = Backend::kC;
+  // Record-layer crypto offload (e.g. dynk::CryptoDev), used when it answers
+  // its probe at key activation. One that does not falls back to software,
+  // so a service configured for offload still runs on a stock board
+  // (Session::engine_fallback()). Wire bytes are the same either way.
   RecordEngine* engine = nullptr;
 
   // Session resumption (DESIGN.md §10). Off by default: the hello messages
@@ -91,7 +77,7 @@ struct Config {
       return false;
     }
     // The offload engine is AES-128 only (like the paper's embedded port).
-    if (backend == Backend::kEngine && aes_key_bits != 128) return false;
+    if (engine != nullptr && aes_key_bits != 128) return false;
     return true;
   }
 

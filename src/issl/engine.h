@@ -1,6 +1,6 @@
 // RecordEngine — the record layer's view of a crypto offload engine.
 //
-// issl's third backend (Backend::kEngine, see config.h) routes bulk record
+// A session whose Config::engine answers its probe routes bulk record
 // crypto through whatever implements this interface; in practice that is
 // dynk::CryptoDev driving the rabbit::CryptoCell peripheral. The interface
 // is deliberately key-stateless — callers pass key bytes on every op and the
@@ -22,7 +22,6 @@
 
 namespace rmc::issl {
 
-using common::u64;
 using common::u8;
 
 class RecordEngine {
@@ -43,12 +42,6 @@ class RecordEngine {
   /// HMAC-SHA1 of `message` under `key` (key length 1..64 bytes).
   virtual common::Result<std::array<u8, 20>> hmac_sha1(
       std::span<const u8> key, std::span<const u8> message) = 0;
-
-  /// Monotonic modeled cycles spent waiting on the engine across all ops
-  /// issued through this handle (the CPU-stall view: descriptor bookkeeping
-  /// plus polling until the busy bit cleared). The record layer charges the
-  /// delta of this to its per-record cost model.
-  virtual u64 stall_cycles_total() const = 0;
 };
 
 }  // namespace rmc::issl

@@ -39,46 +39,11 @@ telemetry::Counter& malformed_counter() {
       telemetry::Registry::global().counter("issl.malformed_records");
   return c;
 }
-
-// ---------------------------------------------------------------------------
-// Per-backend record-crypto cost model (30 MHz Rabbit-class target).
-//
-// Calibrated to the scale E1/E8 measure on the simulated core: the direct C
-// port runs one AES block in ~70k cycles and one SHA-1 compression in ~21k;
-// the hand-assembly rewrite gets AES to ~7k and SHA-1 to ~7k (the paper's
-// "order of magnitude" gap). Like the handshake model in session.cc this is
-// exact virtual arithmetic — its job is the asm/C/engine *ratio* in E14's
-// table, not cycle-exact emulation. The engine backend needs no constants
-// here: its cost is the driver's measured stall cycles.
-// ---------------------------------------------------------------------------
-struct SoftwareCost {
-  u64 aes_block_cycles;
-  u64 sha1_block_cycles;
-  u64 aes_setup_cycles;  // per-direction key schedule at activation
-};
-constexpr SoftwareCost kCCost{70'000, 21'000, 50'000};
-constexpr SoftwareCost kAsmCost{7'000, 7'000, 5'000};
-
-u64 sha1_blocks(std::size_t bytes) { return (bytes + 9 + 63) / 64; }
-
-u64 software_hmac_cycles(const SoftwareCost& c, std::size_t msg_bytes) {
-  return (1 + sha1_blocks(msg_bytes) + 1 + sha1_blocks(20)) *
-         c.sha1_block_cycles;
-}
 }  // namespace
 
 void RecordCodec::note_malformed() {
   ++malformed_records_;
   malformed_counter().add();
-}
-
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kC: return "c";
-    case Backend::kAsm: return "asm";
-    case Backend::kEngine: return "engine";
-  }
-  return "?";
 }
 
 Status RecordCodec::activate_keys(const DirectionKeys& send,
@@ -90,24 +55,16 @@ Status RecordCodec::activate_keys(const DirectionKeys& send,
   send_ = Direction{send, *send_cipher, crypto::HmacSha1Key(send.mac_key)};
   recv_ = Direction{recv, *recv_cipher, crypto::HmacSha1Key(recv.mac_key)};
   sealed_ = true;
+  work_.key_schedules += 2;
 
-  // Resolve the backend now that crypto is about to start. A configured
-  // engine that is missing or failed its probe degrades to the C port —
-  // the stock-board behavior — rather than failing the session.
-  effective_backend_ = backend_;
-  if (backend_ == Backend::kEngine &&
-      (engine_ == nullptr || !engine_->available())) {
-    effective_backend_ = Backend::kC;
+  // Probe now that crypto is about to start. A configured engine that
+  // failed its probe degrades to software — the stock-board behavior —
+  // rather than failing the session.
+  use_engine_ = engine_ != nullptr && engine_->available();
+  if (engine_ != nullptr && !use_engine_) {
     engine_fallback_ = true;
     engine_fallback_counter().add();
   }
-  if (effective_backend_ == Backend::kC) {
-    crypto_cost_cycles_ += 2 * kCCost.aes_setup_cycles;
-  } else if (effective_backend_ == Backend::kAsm) {
-    crypto_cost_cycles_ += 2 * kAsmCost.aes_setup_cycles;
-  }
-  // kEngine: schedule expansion happens inside the engine's key-load op;
-  // the stall-cycle delta of the first record picks it up.
   return Status::ok();
 }
 
@@ -120,23 +77,13 @@ common::Result<std::array<u8, 20>> RecordCodec::record_mac(
     header[i] = static_cast<u8>(seq >> (56 - 8 * i));
   }
   header[8] = static_cast<u8>(type);
-  const std::size_t msg_bytes = header.size() + plaintext.size();
-  switch (effective_backend_) {
-    case Backend::kEngine: {
-      // The engine API takes the message as one buffer.
-      std::vector<u8> msg(header.begin(), header.end());
-      msg.insert(msg.end(), plaintext.begin(), plaintext.end());
-      const u64 before = engine_->stall_cycles_total();
-      auto digest = engine_->hmac_sha1(dir.keys.mac_key, msg);
-      crypto_cost_cycles_ += engine_->stall_cycles_total() - before;
-      return digest;
-    }
-    case Backend::kAsm:
-      crypto_cost_cycles_ += software_hmac_cycles(kAsmCost, msg_bytes);
-      break;
-    case Backend::kC:
-      crypto_cost_cycles_ += software_hmac_cycles(kCCost, msg_bytes);
-      break;
+  work_.sha1_blocks +=
+      crypto::hmac_sha1_blocks(header.size() + plaintext.size());
+  if (use_engine_) {
+    // The engine API takes the message as one buffer.
+    std::vector<u8> msg(header.begin(), header.end());
+    msg.insert(msg.end(), plaintext.begin(), plaintext.end());
+    return engine_->hmac_sha1(dir.keys.mac_key, msg);
   }
   crypto::Sha1 inner = dir.mac.begin();
   inner.update(header);
@@ -144,25 +91,12 @@ common::Result<std::array<u8, 20>> RecordCodec::record_mac(
   return dir.mac.finish(inner);
 }
 
-common::Result<std::vector<u8>> RecordCodec::backend_cbc(
-    bool encrypt, const Direction& dir, std::span<const u8> iv,
-    std::span<const u8> data) {
-  switch (effective_backend_) {
-    case Backend::kEngine: {
-      const u64 before = engine_->stall_cycles_total();
-      auto out = engine_->aes_cbc(encrypt, dir.keys.aes_key, iv, data);
-      crypto_cost_cycles_ += engine_->stall_cycles_total() - before;
-      return out;
-    }
-    case Backend::kAsm:
-      crypto_cost_cycles_ +=
-          (data.size() / crypto::kAesBlockBytes) * kAsmCost.aes_block_cycles;
-      break;
-    case Backend::kC:
-      crypto_cost_cycles_ +=
-          (data.size() / crypto::kAesBlockBytes) * kCCost.aes_block_cycles;
-      break;
-  }
+common::Result<std::vector<u8>> RecordCodec::cbc(bool encrypt,
+                                                  const Direction& dir,
+                                                  std::span<const u8> iv,
+                                                  std::span<const u8> data) {
+  work_.aes_blocks += data.size() / crypto::kAesBlockBytes;
+  if (use_engine_) return engine_->aes_cbc(encrypt, dir.keys.aes_key, iv, data);
   return encrypt ? crypto::cbc_encrypt(dir.cipher, iv, data)
                  : crypto::cbc_decrypt(dir.cipher, iv, data);
 }
@@ -184,7 +118,7 @@ Result<std::vector<u8>> RecordCodec::seal(RecordType type,
     const auto padded = crypto::pkcs7_pad(with_mac, crypto::kAesBlockBytes);
     std::vector<u8> iv(crypto::kAesBlockBytes);
     rng_->fill(iv);
-    auto ct = backend_cbc(true, *send_, iv, padded);
+    auto ct = cbc(true, *send_, iv, padded);
     if (!ct.ok()) return ct.status();
     body = std::move(iv);
     body.insert(body.end(), ct->begin(), ct->end());
@@ -216,7 +150,7 @@ Result<std::vector<u8>> RecordCodec::open_payload(RecordType type,
   }
   const auto iv = wire.subspan(0, crypto::kAesBlockBytes);
   const auto ct = wire.subspan(crypto::kAesBlockBytes);
-  const auto padded = backend_cbc(false, *recv_, iv, ct);
+  const auto padded = cbc(false, *recv_, iv, ct);
   if (!padded.ok()) return padded.status();
   auto unpadded = crypto::pkcs7_unpad(*padded, crypto::kAesBlockBytes);
   if (!unpadded.ok()) {

@@ -60,20 +60,22 @@ struct DirectionKeys {
   std::array<u8, 20> mac_key{};
 };
 
+/// The record layer's crypto work in kernel units, counted the same whether
+/// software or the engine did it; benches price it at measured kernel costs.
+struct RecordWork {
+  u64 key_schedules = 0;  // AES key expansions, one per direction
+  u64 aes_blocks = 0;     // 16-byte CBC blocks, either direction
+  u64 sha1_blocks = 0;    // SHA-1 compressions of each full HMAC
+  bool operator==(const RecordWork&) const = default;
+};
+
 class RecordCodec {
  public:
-  /// `backend` picks where bulk crypto nominally runs; kEngine additionally
-  /// needs `engine`. The choice only matters once keys are activated: the
-  /// null-cipher phase does no crypto, and activate_keys() resolves kEngine
-  /// down to kC when the engine is null or unavailable (engine_fallback()).
-  /// Wire bytes are backend-independent by construction — kEngine computes
-  /// the same MAC-then-encrypt with the same RNG-drawn IVs, just on the
-  /// offload hardware.
-  explicit RecordCodec(common::Xorshift64& rng,
-                       Backend backend = Backend::kC,
-                       RecordEngine* engine = nullptr)
-      : rng_(&rng), backend_(backend), engine_(engine),
-        effective_backend_(backend) {}
+  /// A non-null `engine` that answers its probe at activate_keys() carries
+  /// record crypto; otherwise it runs in software. Wire bytes are the same
+  /// either way: same MAC-then-encrypt, same RNG-drawn IVs.
+  explicit RecordCodec(common::Xorshift64& rng, RecordEngine* engine = nullptr)
+      : rng_(&rng), engine_(engine) {}
 
   /// Switch from the null cipher to sealed mode.
   common::Status activate_keys(const DirectionKeys& send,
@@ -110,25 +112,21 @@ class RecordCodec {
   /// off this).
   std::size_t buffered_bytes() const { return rx_buffer_.size(); }
 
-  /// The backend actually in use after fallback resolution (meaningful once
-  /// sealed; before activation it reports the configured choice).
-  Backend effective_backend() const { return effective_backend_; }
-  /// kEngine was requested but the engine was missing/unavailable at key
-  /// activation, so records run through kC instead.
+  /// The engine answered its probe at activate_keys().
+  bool uses_engine() const { return use_engine_; }
+  /// An engine was configured but failed its probe: records run in software.
   bool engine_fallback() const { return engine_fallback_; }
-  /// Modeled 30 MHz cycles spent on record crypto (MAC + CBC + key setup),
-  /// accumulated per sealed/opened record under the effective backend's
-  /// cost model; for kEngine this is the driver's measured stall cycles.
-  /// Exact integer arithmetic, so bench JSON built on it is reproducible.
-  u64 crypto_cost_cycles() const { return crypto_cost_cycles_; }
+  /// Crypto work done so far: two key schedules at activation, then each
+  /// sealed or opened record's CBC blocks and HMAC compressions.
+  const RecordWork& work() const { return work_; }
 
  private:
   /// Record one refused-as-malformed input, mirrored into the global
   /// `issl.malformed_records` counter.
   void note_malformed();
   /// One direction's key material once activated: the raw keys (what the
-  /// engine backend loads) and the host cipher and HMAC states built from
-  /// them once, not per record.
+  /// engine loads) and the host cipher and HMAC states built from them
+  /// once, not per record.
   struct Direction {
     DirectionKeys keys;
     crypto::AesFast cipher;
@@ -140,17 +138,15 @@ class RecordCodec {
   common::Result<std::array<u8, 20>> record_mac(
       const Direction& dir, u64 seq, RecordType type,
       std::span<const u8> plaintext);
-  common::Result<std::vector<u8>> backend_cbc(bool encrypt,
-                                              const Direction& dir,
-                                              std::span<const u8> iv,
-                                              std::span<const u8> data);
+  common::Result<std::vector<u8>> cbc(bool encrypt, const Direction& dir,
+                                      std::span<const u8> iv,
+                                      std::span<const u8> data);
 
   common::Xorshift64* rng_;
-  Backend backend_;
   RecordEngine* engine_;
-  Backend effective_backend_ = Backend::kC;
+  bool use_engine_ = false;
   bool engine_fallback_ = false;
-  u64 crypto_cost_cycles_ = 0;
+  RecordWork work_;
   bool sealed_ = false;
   bool poisoned_ = false;
   u64 malformed_records_ = 0;

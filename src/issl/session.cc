@@ -79,13 +79,8 @@ std::size_t read_u16(std::span<const u8> b) {
 constexpr common::u64 kSha1BlockCycles = 7'000;
 constexpr common::u64 kAesKeySetupCycles = 5'000;  // per direction schedule
 
-common::u64 sha1_blocks(std::size_t bytes) { return (bytes + 9 + 63) / 64; }
-
 common::u64 hmac_cycles(std::size_t msg_bytes) {
-  // Inner hash: one key-pad block plus the message; outer hash: key-pad
-  // block plus the 20-byte inner digest.
-  return (1 + sha1_blocks(msg_bytes) + 1 + sha1_blocks(20)) *
-         kSha1BlockCycles;
+  return crypto::hmac_sha1_blocks(msg_bytes) * kSha1BlockCycles;
 }
 
 common::u64 prf_cycles(std::size_t out_bytes, std::size_t seed_bytes) {
@@ -131,14 +126,14 @@ std::size_t Session::sram_footprint(const Config& config) {
 Session::Session(Role role, const Config& config, ByteStream& stream,
                  common::Xorshift64& rng)
     : role_(role), config_(config), stream_(&stream), rng_(&rng),
-      codec_(rng, config.backend, config.engine) {
+      codec_(rng, config.engine) {
   // Bad configs fail here, visibly, instead of mid-handshake: the caller
   // sees failed() + kFailedPrecondition before a single byte hits the wire.
   if (!config.valid()) {
     state_ = SessionState::kFailed;
     error_ = Status(ErrorCode::kFailedPrecondition,
                     "invalid issl config (key size, rsa modulus < 96 bits, "
-                    "or non-engine-capable backend combo)");
+                    "or an engine with a non-128-bit key)");
   }
 }
 
@@ -599,7 +594,7 @@ Status Session::on_server_hello(std::span<const u8> body) {
     }
     premaster_ = psk_;
     const auto proof = crypto::Sha1::digest(psk_);
-    hs_cost_cycles_ += sha1_blocks(psk_.size()) * kSha1BlockCycles;
+    hs_cost_cycles_ += crypto::sha1_blocks(psk_.size()) * kSha1BlockCycles;
     cke.insert(cke.end(), proof.begin(), proof.end());
   }
   Status s = send_handshake(kMsgClientKeyExchange, cke);
@@ -645,7 +640,8 @@ Status Session::on_client_key_exchange(std::span<const u8> body) {
     }
   } else {
     const auto expect = crypto::Sha1::digest(identity_.psk);
-    hs_cost_cycles_ += sha1_blocks(identity_.psk.size()) * kSha1BlockCycles;
+    hs_cost_cycles_ +=
+        crypto::sha1_blocks(identity_.psk.size()) * kSha1BlockCycles;
     if (body.size() != expect.size() ||
         !common::ct_equal(body, expect)) {
       return Status(ErrorCode::kAborted, "PSK proof mismatch");

@@ -134,13 +134,11 @@ class Session {
   /// byte-reproducible. E11 uses it for the full-vs-resumed comparison.
   common::u64 handshake_cost_cycles() const { return hs_cost_cycles_; }
 
-  /// Modeled record-layer crypto cost under the configured backend (see
-  /// RecordCodec::crypto_cost_cycles); E14's per-record comparison.
-  common::u64 record_cost_cycles() const { return codec_.crypto_cost_cycles(); }
-  /// Backend actually carrying record crypto after fallback resolution.
-  Backend effective_backend() const { return codec_.effective_backend(); }
-  /// Backend::kEngine was requested but no engine answered the probe, so
-  /// records run through the C port instead.
+  /// Record-layer crypto work so far (RecordCodec::work).
+  const RecordWork& record_work() const { return codec_.work(); }
+  /// The configured engine answered its probe and carries record crypto.
+  bool uses_engine() const { return codec_.uses_engine(); }
+  /// An engine was configured but failed its probe: records run in software.
   bool engine_fallback() const { return codec_.engine_fallback(); }
 
   /// Modeled per-session SRAM footprint on the 16-bit target for a session

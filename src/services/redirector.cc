@@ -123,8 +123,7 @@ RmcRedirector::RmcRedirector(net::TcpStack& stack, net::SimNet& medium,
       scheduler_(config_.handler_slots + 1 + (config_.shed_when_busy ? 1 : 0)),
       own_log_(config_.log_capacity_bytes),
       log_(config_.battery_log ? config_.battery_log : &own_log_),
-      session_cache_(config_.session_cache_capacity,
-                     config_.session_cache_ttl_ms),
+      session_cache_(config_.session_cache_capacity),
       sockets_(config_.handler_slots),
       slots_(config_.handler_slots) {
   // The port's error policy (§4.1): install a handler and ignore most
@@ -594,8 +593,7 @@ UnixRedirector::UnixRedirector(net::TcpStack& stack, RedirectorConfig config)
       bsd_(stack),
       // "Fork" freely: a workstation-sized process table.
       scheduler_(4096),
-      session_cache_(config_.session_cache_capacity,
-                     config_.session_cache_ttl_ms) {}
+      session_cache_(config_.session_cache_capacity) {}
 
 Status UnixRedirector::start() {
   auto fd = bsd_.socket_fd();

@@ -139,9 +139,6 @@ struct RedirectorConfig {
   /// Only meaningful when tls.resumption is also on. Clamped to
   /// issl::kSessionCacheMaxEntries — the xalloc-style static ceiling.
   std::size_t session_cache_capacity = 0;
-  /// Cache entry TTL in virtual ms on the redirector's scheduler clock
-  /// (0 = entries never expire).
-  common::u64 session_cache_ttl_ms = 0;
   /// Supervisor-owned durable snapshot of the cache: restored at boot,
   /// committed after every handshake that changes it, so a warm restart
   /// does not force every client back through the full RSA exchange. Only
@@ -164,8 +161,9 @@ struct RedirectorStats {
   u64 backend_retries = 0;      // reconnect attempts beyond the first
   u64 connections_shed = 0;     // refused with RST while all slots busy
   u64 watchdog_aborts = 0;      // idle forwarding loops killed
-  /// Sessions that asked for Backend::kEngine but ran on the C fallback
-  /// because no engine answered the probe (stock board, or card pulled).
+  /// Sessions configured with a crypto engine (tls.engine) that ran in
+  /// software because the engine did not answer its probe (stock board, or
+  /// card pulled).
   u64 engine_fallbacks = 0;
   /// Slab-mode only: connections shed because the slab could not satisfy
   /// the per-connection recipe (graceful degradation — the antithesis of

@@ -56,7 +56,7 @@ const char* fault_kind_name(FaultKind kind) {
 ServiceBoard::ServiceBoard(net::SimNet& net, ServiceBoardConfig config)
     : net_(net),
       config_(std::move(config)),
-      battery_(config_.battery_log_bytes),
+      battery_(kBatteryLogBytes),
       wdt_(rabbit::Board::kWatchdogBase, 30'000'000) {
   battery_.durable.attach_power(&power_);
   battery_.session_cache.attach_power(&power_);
@@ -87,9 +87,6 @@ void ServiceBoard::boot() {
   if (config_.allocator == dynk::AllocatorKind::kSlab) {
     dynk::SlabConfig sc;
     sc.capacity = config_.xalloc_capacity;
-    sc.page_bytes = config_.slab_page_bytes;
-    sc.quarantine = config_.slab_quarantine;
-    sc.quarantine_depth = config_.slab_quarantine_depth;
     slab_ = std::make_unique<dynk::SlabAllocator>(sc);
     slab_->attach_fault_monitor(&alloc_faults_);
   } else if (config_.xalloc_capacity > 0) {
@@ -166,7 +163,7 @@ void ServiceBoard::go_down(FaultKind fault) {
   slab_.reset();
   up_ = false;
   down_for_ms_ =
-      fault == FaultKind::kPowerCut ? config_.power_off_ms : config_.reboot_ms;
+      fault == FaultKind::kPowerCut ? config_.power_off_ms : kRebootMs;
   pending_fault_ = fault;
 }
 

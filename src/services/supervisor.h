@@ -76,12 +76,9 @@ struct ServiceBoardConfig {
   common::u64 wdt_period_ms = 2'000;
   /// How long a power cut keeps the board dark before the cord goes back in.
   common::u64 power_off_ms = 50;
-  /// Reboot latency for warm (watchdog / controlled) restarts.
-  common::u64 reboot_ms = 2;
   /// Per-boot xalloc arena; 0 disables the arena model entirely.
   std::size_t xalloc_capacity = 0;
   std::size_t session_xalloc_bytes = 0;
-  std::size_t battery_log_bytes = 1'024;
   dynk::PowerFaultPlan power_plan;  // none() = power never fails
 
   // --- Production memory (DESIGN.md §14; paper-mode xalloc by default) -----
@@ -90,10 +87,6 @@ struct ServiceBoardConfig {
   /// (real free at slot close, shed-on-exhaustion). kXalloc keeps every
   /// legacy path — arena, restart-to-reclaim — byte-identical.
   dynk::AllocatorKind allocator = dynk::AllocatorKind::kXalloc;
-  std::size_t slab_page_bytes = 4'096;
-  /// Debug poison/quarantine mode for the slab (see SlabConfig).
-  bool slab_quarantine = false;
-  std::size_t slab_quarantine_depth = 16;
   /// Seeded allocation-failure injection; none() = allocations never fail.
   /// The monitor persists across boots (like the power plan) so a sequence
   /// spanning restarts keeps its countdown.
@@ -103,6 +96,10 @@ struct ServiceBoardConfig {
 class ServiceBoard {
  public:
   static constexpr common::u64 kCyclesPerMs = 30'000;  // 30 MHz board
+  /// Reboot latency for warm (watchdog / controlled) restarts.
+  static constexpr common::u64 kRebootMs = 2;
+  /// Capacity of the battery-backed log ring.
+  static constexpr std::size_t kBatteryLogBytes = 1'024;
 
   ServiceBoard(net::SimNet& net, ServiceBoardConfig config);
   ~ServiceBoard();

@@ -211,6 +211,35 @@ TEST(Record, WrongKeysFailMac) {
   EXPECT_FALSE(receiver.pop().ok());
 }
 
+TEST(Record, WorkFollowsTheWireShape) {
+  common::Xorshift64 rng(8);
+  RecordCodec sender(rng), receiver(rng);
+  // Null-cipher records do no crypto; activation expands one key schedule
+  // per direction.
+  auto clear = sender.seal(RecordType::kHandshake, bytes_of("hello"));
+  ASSERT_TRUE(clear.ok() && receiver.feed(*clear).is_ok());
+  pop_record(receiver);
+  EXPECT_EQ(sender.work(), RecordWork{});
+  EXPECT_EQ(receiver.work(), RecordWork{});
+  ASSERT_TRUE(sender.activate_keys(test_keys(1), test_keys(2)).is_ok());
+  ASSERT_TRUE(receiver.activate_keys(test_keys(2), test_keys(1)).is_ok());
+
+  // A seal and its peer's open each add CBC over the body after the header
+  // and the IV, and a full HMAC over seq||type (9 bytes) and the payload.
+  RecordWork expect{2, 0, 0};
+  for (std::size_t p = 0; p <= 100; ++p) {
+    SCOPED_TRACE(p);
+    auto wire = sender.seal(RecordType::kApplicationData,
+                            std::vector<u8>(p, 0x5A));
+    ASSERT_TRUE(wire.ok() && receiver.feed(*wire).is_ok());
+    pop_record(receiver);
+    expect.aes_blocks += (wire->size() - kRecordHeaderBytes - 16) / 16;
+    expect.sha1_blocks += 3 + (p + 18 + 63) / 64;
+    EXPECT_EQ(sender.work(), expect);
+    EXPECT_EQ(receiver.work(), expect);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session-level fail-closed behaviour under wire corruption
 // ---------------------------------------------------------------------------
@@ -575,22 +604,40 @@ TEST(ConfigTest, RejectsRsaModulusAboveClientCeiling) {
   EXPECT_TRUE(cfg.valid());
 }
 
+// An offload engine that never answers its probe: a service asked for
+// offload on a board without the hardware.
+class AbsentEngine final : public RecordEngine {
+ public:
+  bool available() const override { return false; }
+  common::Result<std::vector<u8>> aes_cbc(bool, std::span<const u8>,
+                                          std::span<const u8>,
+                                          std::span<const u8>) override {
+    return Status(ErrorCode::kUnavailable, "no engine");
+  }
+  common::Result<std::array<u8, 20>> hmac_sha1(std::span<const u8>,
+                                               std::span<const u8>) override {
+    return Status(ErrorCode::kUnavailable, "no engine");
+  }
+};
+
 TEST(ConfigTest, RejectsEngineBackendWithWideKeys) {
+  AbsentEngine engine;
   Config cfg = Config::embedded_port();
-  cfg.backend = Backend::kEngine;
+  cfg.engine = &engine;
   EXPECT_TRUE(cfg.valid());  // AES-128: the engine's one key size
   cfg.aes_key_bits = 256;
   EXPECT_FALSE(cfg.valid());  // offload hardware is AES-128 only
-  cfg.backend = Backend::kC;
+  cfg.engine = nullptr;
   EXPECT_TRUE(cfg.valid());  // software handles 256 fine
 }
 
 TEST(SessionTest, EngineWithWideKeysFailsAtConstruction) {
   TlsHarness h;
   h.connect_transport();
+  AbsentEngine engine;
   Config cfg = Config::embedded_port();
-  cfg.backend = Backend::kEngine;
-  cfg.aes_key_bits = 256;  // non-engine-capable combo
+  cfg.engine = &engine;
+  cfg.aes_key_bits = 256;  // no engine takes this key
   auto client = issl_bind_client(*h.client_stream, cfg, h.client_rng,
                                  bytes_of("psk"));
   EXPECT_TRUE(client.failed());  // before any pump: rejected at construction
@@ -601,16 +648,18 @@ TEST(SessionTest, NullEngineFallsBackToSoftwareAndInterops) {
   TlsHarness h;
   h.connect_transport();
   const auto psk = bytes_of("offload-psk");
+  AbsentEngine engine;
   Config cfg = Config::embedded_port();
-  cfg.backend = Backend::kEngine;  // asked for offload, wired no engine
+  cfg.engine = &engine;  // asked for offload, the board has none
   auto client = issl_bind_client(*h.client_stream, cfg, h.client_rng, psk);
   ServerIdentity id;
   id.psk = psk;
   auto server = issl_bind_server(*h.server_stream, Config::embedded_port(),
-                                 h.server_rng, id);  // plain kC peer
+                                 h.server_rng, id);  // plain software peer
   ASSERT_TRUE(h.drive(client, server));
   EXPECT_TRUE(client.engine_fallback());
-  EXPECT_EQ(client.effective_backend(), Backend::kC);
+  EXPECT_FALSE(client.uses_engine());
+  EXPECT_FALSE(server.engine_fallback());  // no engine asked for
 
   const auto msg = bytes_of("still works in software");
   ASSERT_TRUE(client.write(msg).ok());

@@ -305,7 +305,6 @@ struct FaultWorld {
     cfg.board_ip = kBoardIp;
     cfg.wdt_period_ms = 500;
     cfg.power_off_ms = 40;
-    cfg.reboot_ms = 2;
     return cfg;
   }
 

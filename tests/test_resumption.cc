@@ -355,7 +355,6 @@ struct BoardWorld {
     cfg.redirector.session_cache_capacity = 8;
     cfg.board_ip = kServerIp;
     cfg.wdt_period_ms = 500;
-    cfg.reboot_ms = 2;
     return cfg;
   }
 

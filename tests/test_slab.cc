@@ -308,7 +308,6 @@ struct SlabWorld {
     cfg.redirector.secure = false;  // unit tests drive the memory path only
     cfg.board_ip = kBoardIp;
     cfg.wdt_period_ms = 500;
-    cfg.reboot_ms = 2;
     cfg.allocator = dynk::AllocatorKind::kSlab;
     cfg.xalloc_capacity = 64 * 1024;
     return cfg;

@@ -269,7 +269,6 @@ struct TraceWorld {
     cfg.redirector.psk = bytes_of("trace-psk");
     cfg.board_ip = kBoardIp;
     cfg.wdt_period_ms = 500;
-    cfg.reboot_ms = 2;
     return cfg;
   }
 
