@@ -2,23 +2,26 @@
 # Pre-merge gate:
 #
 #   1. tier-1: build + ctest.
-#   2. sanitizers: ASan/UBSan builds of test_crypto (the BigNum limb
-#      kernels, Knuth D and Montgomery, index raw limb buffers; the T-table
-#      AES, the unrolled SHA-1 and the keyed HMAC state index tables and
-#      rolling buffers; their differential tests against the bit-serial
-#      BigNum and the plain SHA-1/HMAC/PRF references run here), of
-#      test_issl and test_cryptocell (attacker-controlled records reach the
-#      per-direction HMAC state and the T-table decrypt there, and the
-#      crypto engine's use of AesFast and hmac_sha1), of test_net and
-#      test_edges (the TCP tick list and demultiplexing indexes, erased
-#      while lookups run, the bulk receive copy, and the 16k-connect
-#      port-wrap test), and of the soak and fault benches — E9 (wire faults), E10
-#      (board deaths), E11 (resumption), E12 (trace audit), E14 (the engine
-#      record gate), E15 (hostile peers + fuzz), E16 (reduced-scale slab churn
-#      in quarantine/poison mode) and E17 (SLO timeline) — so every
-#      corruption, teardown, recovery, parse and tracing path runs
-#      sanitizer-clean. E16's reduced-scale JSON, E12's Chrome trace +
-#      pcap, and E17's timeseries CSV double-run here for
+#   2. sanitizers: ASan/UBSan builds of test_common (the ByteQueue FIFO
+#      under TCP and the record layer: offset reads, compaction, storage
+#      freed on drain), of test_crypto (the BigNum limb kernels, Knuth D
+#      and Montgomery, index raw limb buffers; the T-table AES, the
+#      unrolled SHA-1, the keyed HMAC state and the in-place CBC index
+#      tables and rolling buffers; their differential tests against the
+#      bit-serial BigNum and the plain SHA-1/HMAC/PRF/CBC references run
+#      here), of test_issl and test_cryptocell (attacker-controlled records
+#      reach the per-direction HMAC state, the T-table decrypt into the
+#      payload buffer and the in-place padding checks there, and the crypto
+#      engine's use of AesFast and hmac_sha1), of test_net and test_edges
+#      (the TCP tick list and demultiplexing indexes, erased while lookups
+#      run, the send buffer's in-flight offsets, the bulk receive copy, and
+#      the 16k-connect port-wrap test), and of the soak and fault benches —
+#      E9 (wire faults), E10 (board deaths), E11 (resumption), E12 (trace
+#      audit), E14 (the engine record gate), E15 (hostile peers + fuzz),
+#      E16 (reduced-scale slab churn in quarantine/poison mode) and E17
+#      (SLO timeline) — so every corruption, teardown, recovery, parse and
+#      tracing path runs sanitizer-clean. E16's reduced-scale JSON, E12's
+#      Chrome trace + pcap, and E17's timeseries CSV double-run here for
 #      byte-reproducibility.
 #   3. snapshots: scripts/run_benches.sh runs every bench (Release) into a
 #      scratch directory, and each BENCH_*.json except BENCH_CRYPTO.json
@@ -32,6 +35,12 @@
 #      lands as a readable diff.
 #   4. dispatch matrix: the same E1/E2 run under RMC_DISPATCH=legacy must
 #      equal the snapshot too (step 3 ran the default fast interpreter).
+#   5. perfbench determinism: perfbench/run.py builds the repo benchmark
+#      into a scratch directory and runs one unit of each of its four
+#      workloads on seeds 1-3; the twelve `determinism {...}` lines (every
+#      count and board-clock metric the benchmark pins per seed) must equal
+#      bench/snapshots/PERFBENCH_DETERMINISM.txt. A change that means to
+#      move them refreshes that file in the same change.
 #
 # Usage:
 #   scripts/check.sh
@@ -57,11 +66,11 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan test_crypto/issl/cryptocell/net/edges + E9-E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_common/crypto/issl/cryptocell/net/edges + E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
-cmake --build "$san_dir" -j --target test_crypto \
+cmake --build "$san_dir" -j --target test_common --target test_crypto \
   --target test_issl --target test_cryptocell \
   --target test_net --target test_edges \
   --target bench_fault_soak --target bench_crash_soak \
@@ -79,7 +88,7 @@ for shard in 0 1 2 3; do
   shard_pids+=($!)
 done
 for pid in "${shard_pids[@]}"; do wait "$pid"; done
-for t in test_issl test_cryptocell test_net test_edges; do
+for t in test_common test_issl test_cryptocell test_net test_edges; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$san_dir/tests/$t" --gtest_brief=1
 done
@@ -174,6 +183,31 @@ for entry in E1:bench_aes_asm_vs_c E2:bench_optimizations; do
   same_json "$tmp/${id}_legacy.json" "$snap_dir/BENCH_$id.json"
   echo "$id: legacy == snapshot"
 done
+
+echo
+echo "== perfbench determinism: 4 workloads x seeds 1-3 == snapshot =="
+# One unit per run (--seconds 0.01): the determinism line holds per-unit
+# counts, so a longer run prints the same line. run.py's build output goes
+# to a log that is shown if a build or a run fails.
+for workload in psk_churn rsa_churn bulk_stream onboard_aes; do
+  for seed in 1 2 3; do
+    if ! out="$(CARGO_TARGET_DIR="$tmp/perfbench" python3 \
+        "$repo_root/perfbench/run.py" --workload "$workload" --seed "$seed" \
+        --seconds 0.01 2>>"$tmp/perfbench.log")"; then
+      tail -20 "$tmp/perfbench.log" >&2
+      echo "perfbench $workload seed $seed failed" >&2
+      exit 1
+    fi
+    echo "$workload seed $seed: $(grep '^determinism ' <<<"$out")"
+  done
+done >"$tmp/perfbench_determinism.txt"
+if ! diff "$snap_dir/PERFBENCH_DETERMINISM.txt" \
+    "$tmp/perfbench_determinism.txt"; then
+  echo "perfbench determinism lines differ from" \
+    "bench/snapshots/PERFBENCH_DETERMINISM.txt (snapshot <, fresh >)" >&2
+  exit 1
+fi
+echo "perfbench: 12 determinism lines match the snapshot"
 
 echo
 echo "check.sh: all gates passed"

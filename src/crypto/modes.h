@@ -1,71 +1,53 @@
-// Block-cipher modes used by the issl record layer: CBC with PKCS#7 padding
-// (bulk records) and raw ECB (key-block derivation, tests).
+// CBC, the block-cipher mode of the issl record layer and the crypto
+// engine, over caller-owned buffers: a record is sealed in place inside
+// its wire vector and opened straight into its payload vector, so the mode
+// itself allocates nothing. Padding is the record layer's business
+// (issl/record.cc). Tests hold this CBC to the plain vector-returning one
+// in tests/crypto_reference.h.
 #pragma once
 
+#include <algorithm>
 #include <span>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/status.h"
 #include "crypto/aes.h"
 
 namespace rmc::crypto {
 
-/// PKCS#7: pad to a multiple of `block` (always appends 1..block bytes).
-std::vector<u8> pkcs7_pad(std::span<const u8> data, std::size_t block);
-
-/// Strip PKCS#7 padding; fails on malformed padding (wrong length byte or
-/// inconsistent fill) — the error path a tampered record takes.
-common::Result<std::vector<u8>> pkcs7_unpad(std::span<const u8> data,
-                                            std::size_t block);
-
-/// CBC encrypt with explicit IV; input length must be a block multiple
-/// (combine with pkcs7_pad). Cipher may be Aes or AesFast.
+/// CBC-encrypt `in` into `out` under `iv`. Both have the same length, a
+/// multiple of the block size, and may be the same buffer (in place).
+/// Cipher may be Aes or AesFast.
 template <typename Cipher>
-std::vector<u8> cbc_encrypt(const Cipher& cipher, std::span<const u8> iv,
-                            std::span<const u8> plaintext) {
-  std::vector<u8> out(plaintext.size());
-  u8 chain[kAesBlockBytes];
-  for (std::size_t i = 0; i < kAesBlockBytes; ++i) chain[i] = iv[i];
-  for (std::size_t off = 0; off + kAesBlockBytes <= plaintext.size();
+void cbc_encrypt(const Cipher& cipher, std::span<const u8> iv,
+                 std::span<const u8> in, std::span<u8> out) {
+  const u8* chain = iv.data();
+  for (std::size_t off = 0; off + kAesBlockBytes <= in.size();
        off += kAesBlockBytes) {
     u8 block[kAesBlockBytes];
     for (std::size_t i = 0; i < kAesBlockBytes; ++i) {
-      block[i] = static_cast<u8>(plaintext[off + i] ^ chain[i]);
+      block[i] = static_cast<u8>(in[off + i] ^ chain[i]);
     }
-    cipher.encrypt_block(block, std::span<u8>(out).subspan(off));
-    for (std::size_t i = 0; i < kAesBlockBytes; ++i) chain[i] = out[off + i];
+    cipher.encrypt_block(block, out.subspan(off, kAesBlockBytes));
+    chain = out.data() + off;
   }
-  return out;
 }
 
+/// CBC-decrypt `in` into `out` under `iv`; same contract as cbc_encrypt.
 template <typename Cipher>
-std::vector<u8> cbc_decrypt(const Cipher& cipher, std::span<const u8> iv,
-                            std::span<const u8> ciphertext) {
-  std::vector<u8> out(ciphertext.size());
+void cbc_decrypt(const Cipher& cipher, std::span<const u8> iv,
+                 std::span<const u8> in, std::span<u8> out) {
   u8 chain[kAesBlockBytes];
-  for (std::size_t i = 0; i < kAesBlockBytes; ++i) chain[i] = iv[i];
-  for (std::size_t off = 0; off + kAesBlockBytes <= ciphertext.size();
+  std::copy_n(iv.data(), kAesBlockBytes, chain);
+  for (std::size_t off = 0; off + kAesBlockBytes <= in.size();
        off += kAesBlockBytes) {
     u8 block[kAesBlockBytes];
-    cipher.decrypt_block(ciphertext.subspan(off), block);
+    cipher.decrypt_block(in.subspan(off, kAesBlockBytes), block);
     for (std::size_t i = 0; i < kAesBlockBytes; ++i) {
+      const u8 next = in[off + i];  // read before an in-place write
       out[off + i] = static_cast<u8>(block[i] ^ chain[i]);
-      chain[i] = ciphertext[off + i];
+      chain[i] = next;
     }
   }
-  return out;
-}
-
-/// ECB over whole buffers (length must be a block multiple).
-template <typename Cipher>
-std::vector<u8> ecb_encrypt(const Cipher& cipher, std::span<const u8> data) {
-  std::vector<u8> out(data.size());
-  for (std::size_t off = 0; off + kAesBlockBytes <= data.size();
-       off += kAesBlockBytes) {
-    cipher.encrypt_block(data.subspan(off), std::span<u8>(out).subspan(off));
-  }
-  return out;
 }
 
 }  // namespace rmc::crypto

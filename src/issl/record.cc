@@ -39,6 +39,13 @@ telemetry::Counter& malformed_counter() {
       telemetry::Registry::global().counter("issl.malformed_records");
   return c;
 }
+
+void put_header(std::vector<u8>& wire, RecordType type, std::size_t body_len) {
+  wire.push_back(static_cast<u8>(type));
+  wire.push_back(kIsslVersion);
+  wire.push_back(static_cast<u8>(body_len >> 8));
+  wire.push_back(static_cast<u8>(body_len & 0xFF));
+}
 }  // namespace
 
 void RecordCodec::note_malformed() {
@@ -91,14 +98,26 @@ common::Result<std::array<u8, 20>> RecordCodec::record_mac(
   return dir.mac.finish(inner);
 }
 
-common::Result<std::vector<u8>> RecordCodec::cbc(bool encrypt,
-                                                  const Direction& dir,
-                                                  std::span<const u8> iv,
-                                                  std::span<const u8> data) {
-  work_.aes_blocks += data.size() / crypto::kAesBlockBytes;
-  if (use_engine_) return engine_->aes_cbc(encrypt, dir.keys.aes_key, iv, data);
-  return encrypt ? crypto::cbc_encrypt(dir.cipher, iv, data)
-                 : crypto::cbc_decrypt(dir.cipher, iv, data);
+Status RecordCodec::cbc(bool encrypt, const Direction& dir,
+                        std::span<const u8> iv, std::span<const u8> in,
+                        std::span<u8> out) {
+  work_.aes_blocks += in.size() / crypto::kAesBlockBytes;
+  if (use_engine_) {
+    // The engine returns its output in a buffer of its own.
+    auto result = engine_->aes_cbc(encrypt, dir.keys.aes_key, iv, in);
+    if (!result.ok()) return result.status();
+    if (result->size() != out.size()) {
+      return Status(ErrorCode::kInternal, "engine CBC output length");
+    }
+    std::copy(result->begin(), result->end(), out.begin());
+    return Status::ok();
+  }
+  if (encrypt) {
+    crypto::cbc_encrypt(dir.cipher, iv, in, out);
+  } else {
+    crypto::cbc_decrypt(dir.cipher, iv, in, out);
+  }
+  return Status::ok();
 }
 
 Result<std::vector<u8>> RecordCodec::seal(RecordType type,
@@ -106,33 +125,37 @@ Result<std::vector<u8>> RecordCodec::seal(RecordType type,
   if (plaintext.size() > kMaxRecordPayload) {
     return Status(ErrorCode::kInvalidArgument, "record too large");
   }
-  std::vector<u8> body;
+  std::vector<u8> wire;
   if (!sealed_) {
-    body.assign(plaintext.begin(), plaintext.end());
+    wire.reserve(kRecordHeaderBytes + plaintext.size());
+    put_header(wire, type, plaintext.size());
+    wire.insert(wire.end(), plaintext.begin(), plaintext.end());
   } else {
-    // plaintext || MAC, padded, CBC under a fresh IV.
+    // header || IV || CBC(plaintext || MAC || PKCS#7 fill of 1..16 bytes),
+    // laid out in the wire vector and encrypted there in place.
     const auto mac = record_mac(*send_, seq_send_, type, plaintext);
     if (!mac.ok()) return mac.status();
-    std::vector<u8> with_mac(plaintext.begin(), plaintext.end());
-    with_mac.insert(with_mac.end(), mac->begin(), mac->end());
-    const auto padded = crypto::pkcs7_pad(with_mac, crypto::kAesBlockBytes);
-    std::vector<u8> iv(crypto::kAesBlockBytes);
+    const std::size_t unpadded = plaintext.size() + mac->size();
+    const std::size_t pad =
+        crypto::kAesBlockBytes - unpadded % crypto::kAesBlockBytes;
+    const std::size_t body_len = crypto::kAesBlockBytes + unpadded + pad;
+    wire.reserve(kRecordHeaderBytes + body_len);
+    put_header(wire, type, body_len);
+    wire.resize(kRecordHeaderBytes + crypto::kAesBlockBytes);
+    const std::span<u8> iv = std::span<u8>(wire).subspan(kRecordHeaderBytes);
     rng_->fill(iv);
-    auto ct = cbc(true, *send_, iv, padded);
-    if (!ct.ok()) return ct.status();
-    body = std::move(iv);
-    body.insert(body.end(), ct->begin(), ct->end());
+    wire.insert(wire.end(), plaintext.begin(), plaintext.end());
+    wire.insert(wire.end(), mac->begin(), mac->end());
+    wire.insert(wire.end(), pad, static_cast<u8>(pad));
+    // No reallocation since the reserve, so `iv` still points into wire.
+    const std::span<u8> padded = std::span<u8>(wire).subspan(
+        kRecordHeaderBytes + crypto::kAesBlockBytes);
+    if (Status s = cbc(true, *send_, iv, padded, padded); !s.is_ok()) {
+      return s;
+    }
   }
   ++seq_send_;
   sealed_counter().add();
-
-  std::vector<u8> wire;
-  wire.reserve(kRecordHeaderBytes + body.size());
-  wire.push_back(static_cast<u8>(type));
-  wire.push_back(kIsslVersion);
-  wire.push_back(static_cast<u8>(body.size() >> 8));
-  wire.push_back(static_cast<u8>(body.size() & 0xFF));
-  wire.insert(wire.end(), body.begin(), body.end());
   return wire;
 }
 
@@ -148,32 +171,42 @@ Result<std::vector<u8>> RecordCodec::open_payload(RecordType type,
     note_malformed();
     return Status(ErrorCode::kDataLoss, "bad sealed record length");
   }
+  // Decrypt straight into the payload; check the PKCS#7 fill and the MAC
+  // where they landed, then trim them off.
   const auto iv = wire.subspan(0, crypto::kAesBlockBytes);
   const auto ct = wire.subspan(crypto::kAesBlockBytes);
-  const auto padded = cbc(false, *recv_, iv, ct);
-  if (!padded.ok()) return padded.status();
-  auto unpadded = crypto::pkcs7_unpad(*padded, crypto::kAesBlockBytes);
-  if (!unpadded.ok()) {
+  std::vector<u8> payload(ct.size());
+  if (Status s = cbc(false, *recv_, iv, ct, payload); !s.is_ok()) return s;
+  const u8 pad = payload.back();
+  if (pad == 0 || pad > crypto::kAesBlockBytes) {
     note_malformed();
-    return unpadded.status();
+    return Status(ErrorCode::kDataLoss, "bad padding byte");
   }
-  if (unpadded->size() < crypto::kSha1DigestBytes) {
+  for (std::size_t i = payload.size() - pad; i < payload.size(); ++i) {
+    if (payload[i] != pad) {
+      note_malformed();
+      return Status(ErrorCode::kDataLoss, "inconsistent padding");
+    }
+  }
+  if (payload.size() - pad < crypto::kSha1DigestBytes) {
     note_malformed();
     return Status(ErrorCode::kDataLoss, "record shorter than its MAC");
   }
-  const std::size_t data_len = unpadded->size() - crypto::kSha1DigestBytes;
-  std::span<const u8> data(unpadded->data(), data_len);
-  std::span<const u8> mac(unpadded->data() + data_len,
-                          crypto::kSha1DigestBytes);
+  const std::size_t data_len =
+      payload.size() - pad - crypto::kSha1DigestBytes;
+  const std::span<const u8> data(payload.data(), data_len);
+  const std::span<const u8> mac(payload.data() + data_len,
+                                crypto::kSha1DigestBytes);
   const auto expect = record_mac(*recv_, seq_recv_, type, data);
   if (!expect.ok()) return expect.status();
   if (!common::ct_equal(mac, *expect)) {
     mac_fail_counter().add();
     return Status(ErrorCode::kDataLoss, "record MAC mismatch");
   }
+  payload.resize(data_len);
   ++seq_recv_;
   opened_counter().add();
-  return std::vector<u8>(data.begin(), data.end());
+  return payload;
 }
 
 Status RecordCodec::feed(std::span<const u8> bytes) {
@@ -182,12 +215,12 @@ Status RecordCodec::feed(std::span<const u8> bytes) {
   }
   // Defense in depth: more buffered bytes than two maximum records can ever
   // need means the peer is not speaking the protocol.
-  if (rx_buffer_.size() + bytes.size() > 2 * (kMaxRecordLen + 64)) {
+  if (rx_buffer_.size() + bytes.size() > kMaxReassemblyBytes) {
     note_malformed();
     poisoned_ = true;
     return Status(ErrorCode::kDataLoss, "record reassembly overflow");
   }
-  rx_buffer_.insert(rx_buffer_.end(), bytes.begin(), bytes.end());
+  rx_buffer_.append(bytes);
   return Status::ok();
 }
 
@@ -196,10 +229,10 @@ Result<std::optional<Record>> RecordCodec::pop() {
     return Status(ErrorCode::kDataLoss, "record stream poisoned");
   }
   if (rx_buffer_.size() < kRecordHeaderBytes) return std::optional<Record>{};
-  const u8 type_byte = rx_buffer_[0];
-  const u8 version = rx_buffer_[1];
-  const std::size_t len =
-      (static_cast<std::size_t>(rx_buffer_[2]) << 8) | rx_buffer_[3];
+  const u8* head = rx_buffer_.data();
+  const u8 type_byte = head[0];
+  const u8 version = head[1];
+  const std::size_t len = (static_cast<std::size_t>(head[2]) << 8) | head[3];
   if (version != kIsslVersion || type_byte < 1 || type_byte > 3 ||
       len > kMaxRecordLen) {
     note_malformed();
@@ -210,11 +243,9 @@ Result<std::optional<Record>> RecordCodec::pop() {
     return std::optional<Record>{};  // need more bytes
   }
   const RecordType type = static_cast<RecordType>(type_byte);
-  auto payload = open_payload(
-      type, std::span<const u8>(rx_buffer_.data() + kRecordHeaderBytes, len));
-  rx_buffer_.erase(
-      rx_buffer_.begin(),
-      rx_buffer_.begin() + static_cast<long>(kRecordHeaderBytes + len));
+  auto payload =
+      open_payload(type, std::span<const u8>(head + kRecordHeaderBytes, len));
+  rx_buffer_.consume(kRecordHeaderBytes + len);
   if (!payload.ok()) {
     poisoned_ = true;
     return payload.status();

@@ -11,12 +11,20 @@
 // Handshake records before keys are derived travel in the clear
 // ("null cipher"), as in SSL: the codec starts in plaintext mode and
 // switches to sealed mode when activate_keys() installs the key block.
+//
+// Each record lives in one buffer. seal() writes the header, the IV, the
+// plaintext, the MAC and the padding straight into the wire vector it
+// returns and CBC-encrypts that in place; open decrypts the body straight
+// into the payload vector pop() returns, checks the padding and the MAC
+// there and trims them off. Reassembly is a common::ByteQueue consumed by
+// offset, which frees its storage whenever it drains: an idle codec, like
+// a drained or dead TCB beneath it, holds no buffer storage.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/byte_queue.h"
 #include "common/bytes.h"
 #include "common/prng.h"
 #include "common/status.h"
@@ -48,6 +56,12 @@ inline constexpr std::size_t kMaxRecordPayload = 16 * 1024;
 /// claiming more is malformed by construction and poisons the codec before
 /// a single body byte is buffered on its behalf.
 inline constexpr std::size_t kMaxRecordLen = kMaxRecordPayload + 64;
+/// The most undecoded bytes feed() will hold: two maximum records and
+/// their headers with room to spare. More means the peer is not speaking
+/// the protocol. A reader that pops every complete record before feeding
+/// again never needs more, as long as it feeds no more than this minus
+/// what is already buffered (Session::flush_and_fill stops there).
+inline constexpr std::size_t kMaxReassemblyBytes = 2 * (kMaxRecordLen + 64);
 
 struct Record {
   RecordType type;
@@ -138,9 +152,10 @@ class RecordCodec {
   common::Result<std::array<u8, 20>> record_mac(
       const Direction& dir, u64 seq, RecordType type,
       std::span<const u8> plaintext);
-  common::Result<std::vector<u8>> cbc(bool encrypt, const Direction& dir,
-                                      std::span<const u8> iv,
-                                      std::span<const u8> data);
+  /// CBC `in` into `out` (same length; may be the same buffer).
+  common::Status cbc(bool encrypt, const Direction& dir,
+                     std::span<const u8> iv, std::span<const u8> in,
+                     std::span<u8> out);
 
   common::Xorshift64* rng_;
   RecordEngine* engine_;
@@ -154,7 +169,7 @@ class RecordCodec {
   std::optional<Direction> recv_;
   u64 seq_send_ = 0;
   u64 seq_recv_ = 0;
-  std::vector<u8> rx_buffer_;
+  common::ByteQueue rx_buffer_;
 };
 
 }  // namespace rmc::issl

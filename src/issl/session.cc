@@ -212,8 +212,14 @@ Status Session::flush_and_fill() {
   fill_bytes_ = 0;
   // Bounded intake per pump: a transport spraying garbage must hit record
   // validation (and fail the session) instead of growing the reassembly
-  // buffer without limit.
+  // buffer without limit. Intake also stops before a chunk could take the
+  // codec past its reassembly bound, leaving the rest in the transport: an
+  // honest burst of records (64 chunks are 32 KiB, two maximum records)
+  // on top of a partial one must not read as an overflow. pump() pops
+  // every complete record before the next fill, which leaves room for at
+  // least one maximum record, so every pump still makes progress.
   for (int round = 0; round < 64; ++round) {
+    if (codec_.buffered_bytes() + sizeof(buf) > kMaxReassemblyBytes) break;
     auto n = stream_->read(buf);
     if (!n.ok()) {
       if (n.status().code() == ErrorCode::kUnavailable) return Status::ok();
@@ -318,7 +324,7 @@ Status Session::pump() {
   return Status::ok();
 }
 
-Status Session::handle_record(const Record& record) {
+Status Session::handle_record(Record& record) {
   switch (record.type) {
     case RecordType::kHandshake: {
       hs_reassembly_.insert(hs_reassembly_.end(), record.payload.begin(),
@@ -357,8 +363,12 @@ Status Session::handle_record(const Record& record) {
       if (state_ != SessionState::kEstablished) {
         return Status(ErrorCode::kAborted, "application data before Finished");
       }
-      app_rx_.insert(app_rx_.end(), record.payload.begin(),
-                     record.payload.end());
+      if (app_rx_.empty()) {
+        app_rx_ = std::move(record.payload);
+      } else {
+        app_rx_.insert(app_rx_.end(), record.payload.begin(),
+                       record.payload.end());
+      }
       return Status::ok();
     case RecordType::kAlert: {
       const u8 code = record.payload.empty() ? 255 : record.payload[0];

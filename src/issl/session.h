@@ -161,7 +161,7 @@ class Session {
   common::Status send_alert(u8 code);
   common::Status send_handshake(u8 msg_type, std::span<const u8> body);
   common::Status flush_and_fill();
-  common::Status handle_record(const Record& record);
+  common::Status handle_record(Record& record);
   common::Status handle_handshake_message(u8 msg_type,
                                           std::span<const u8> body);
   common::Status on_client_hello(std::span<const u8> body);

@@ -180,7 +180,7 @@ Result<std::size_t> TcpStack::send(int sock, std::span<const u8> data) {
   if (t->fin_pending || t->fin_sent) {
     return Status(ErrorCode::kFailedPrecondition, "socket closed for writing");
   }
-  t->send_queue.insert(t->send_queue.end(), data.begin(), data.end());
+  t->send_buf.append(data);
   pump(*t);
   return data.size();
 }
@@ -189,23 +189,22 @@ Result<std::size_t> TcpStack::recv(int sock, std::span<u8> out) {
   Tcb* t = find(sock);
   if (t == nullptr) return Status(ErrorCode::kNotFound, "bad socket");
   if (t->reset) return Status(ErrorCode::kAborted, "connection reset");
-  if (t->recv_queue.empty()) {
+  if (t->recv_buf.empty()) {
     if (t->peer_fin || t->state == TcpState::kClosed ||
         t->state == TcpState::kTimeWait) {
       return std::size_t{0};  // EOF
     }
     return Status(ErrorCode::kUnavailable, "no data");
   }
-  const std::size_t n = std::min(out.size(), t->recv_queue.size());
-  const auto end = t->recv_queue.begin() + static_cast<long>(n);
-  std::copy(t->recv_queue.begin(), end, out.begin());
-  t->recv_queue.erase(t->recv_queue.begin(), end);
+  const std::size_t n = std::min(out.size(), t->recv_buf.size());
+  std::copy_n(t->recv_buf.data(), n, out.begin());
+  t->recv_buf.consume(n);
   return n;
 }
 
 std::size_t TcpStack::bytes_available(int sock) const {
   const Tcb* t = find(sock);
-  return t == nullptr ? 0 : t->recv_queue.size();
+  return t == nullptr ? 0 : t->recv_buf.size();
 }
 
 Status TcpStack::close(int sock) {
@@ -216,6 +215,7 @@ Status TcpStack::close(int sock) {
     for (int id : t->accept_queue) {
       if (Tcb* c = find(id)) kill(*c, /*reset=*/true);
     }
+    std::vector<int>().swap(t->accept_queue);
     listeners_.erase(t->local_port);
     t->state = TcpState::kClosed;
     return Status::ok();
@@ -313,7 +313,12 @@ void TcpStack::transition(Tcb& tcb, TcpState to) {
     tracer.emit(TraceLayer::kTcp, TcpTrace::kState, conn_trace_id(tcb),
                 static_cast<u32>(tcb.state), static_cast<u32>(to));
   }
-  if (to == TcpState::kClosed) unindex(tcb);
+  if (to == TcpState::kClosed) {
+    unindex(tcb);
+    // Nothing sends or resends from a closed TCB again.
+    tcb.send_buf.consume(tcb.send_buf.size());
+    tcb.inflight = 0;
+  }
   tcb.state = to;
 }
 
@@ -322,7 +327,7 @@ void TcpStack::transition(Tcb& tcb, TcpState to) {
 // ---------------------------------------------------------------------------
 
 void TcpStack::transmit(const Tcb& tcb, u32 seq, u8 flags,
-                        std::vector<u8> payload) {
+                        std::span<const u8> payload) {
   Segment seg;
   seg.src_ip = addr_;
   seg.dst_ip = tcb.remote_ip;
@@ -331,7 +336,7 @@ void TcpStack::transmit(const Tcb& tcb, u32 seq, u8 flags,
   seg.seq = seq;
   seg.ack = tcb.rcv_nxt;
   seg.flags = flags;
-  seg.payload = std::move(payload);
+  seg.payload.assign(payload.begin(), payload.end());
   net_.send(std::move(seg));
 }
 
@@ -344,15 +349,12 @@ void TcpStack::pump(Tcb& tcb) {
       tcb.state != TcpState::kCloseWait) {
     return;
   }
-  while (!tcb.send_queue.empty() && tcb.inflight.size() < kWindow) {
+  while (tcb.send_buf.size() > tcb.inflight && tcb.inflight < kWindow) {
     const std::size_t n = std::min(
-        {tcb.send_queue.size(), kMss, kWindow - tcb.inflight.size()});
-    std::vector<u8> payload(tcb.send_queue.begin(),
-                            tcb.send_queue.begin() + static_cast<long>(n));
-    tcb.send_queue.erase(tcb.send_queue.begin(),
-                         tcb.send_queue.begin() + static_cast<long>(n));
-    transmit(tcb, tcb.snd_nxt, TcpFlags::kAck, payload);
-    tcb.inflight.insert(tcb.inflight.end(), payload.begin(), payload.end());
+        {tcb.send_buf.size() - tcb.inflight, kMss, kWindow - tcb.inflight});
+    transmit(tcb, tcb.snd_nxt, TcpFlags::kAck,
+             std::span<const u8>(tcb.send_buf.data() + tcb.inflight, n));
+    tcb.inflight += n;
     tcb.snd_nxt += static_cast<u32>(n);
     if (!tcb.rtt_pending) {
       // Stamp this fresh segment for RTT sampling; the ACK covering its end
@@ -363,7 +365,7 @@ void TcpStack::pump(Tcb& tcb) {
     }
     arm_retx(tcb);
   }
-  if (tcb.fin_pending && !tcb.fin_sent && tcb.send_queue.empty()) {
+  if (tcb.fin_pending && !tcb.fin_sent && tcb.send_buf.size() == tcb.inflight) {
     transmit(tcb, tcb.snd_nxt, TcpFlags::kFin | TcpFlags::kAck, {});
     tcb.snd_nxt += 1;  // FIN occupies one sequence number
     tcb.fin_sent = true;
@@ -410,11 +412,11 @@ void TcpStack::retransmit(Tcb& tcb) {
       transmit(tcb, tcb.iss, TcpFlags::kSyn | TcpFlags::kAck, {});
       break;
     default: {
-      if (!tcb.inflight.empty()) {
-        const std::size_t n = std::min(tcb.inflight.size(), kMss);
-        std::vector<u8> payload(tcb.inflight.begin(),
-                                tcb.inflight.begin() + static_cast<long>(n));
-        transmit(tcb, tcb.snd_una, TcpFlags::kAck, std::move(payload));
+      if (tcb.inflight > 0) {
+        // Go-back-N: resend the oldest in-flight segment's worth at snd_una.
+        transmit(tcb, tcb.snd_una, TcpFlags::kAck,
+                 std::span<const u8>(tcb.send_buf.data(),
+                                     std::min(tcb.inflight, kMss)));
       } else if (tcb.fin_sent) {
         transmit(tcb, tcb.snd_nxt - 1, TcpFlags::kFin | TcpFlags::kAck, {});
       }
@@ -545,10 +547,9 @@ void TcpStack::handle_connection(Tcb& tcb, const Segment& seg) {
         transition(tcb, TcpState::kEstablished);
         remaining -= 1;
       }
-      const std::size_t pop =
-          std::min<std::size_t>(remaining, tcb.inflight.size());
-      tcb.inflight.erase(tcb.inflight.begin(),
-                         tcb.inflight.begin() + static_cast<long>(pop));
+      const std::size_t pop = std::min<std::size_t>(remaining, tcb.inflight);
+      tcb.send_buf.consume(pop);
+      tcb.inflight -= pop;
       tcb.snd_una = seg.ack;
       // RTT sample completes once the cumulative ACK covers the stamped
       // sequence (serial-number arithmetic, same as the `acked` math above).
@@ -577,8 +578,7 @@ void TcpStack::handle_connection(Tcb& tcb, const Segment& seg) {
   // In-order payload.
   if (!seg.payload.empty()) {
     if (seg.seq == tcb.rcv_nxt) {
-      tcb.recv_queue.insert(tcb.recv_queue.end(), seg.payload.begin(),
-                            seg.payload.end());
+      tcb.recv_buf.append(seg.payload);
       tcb.rcv_nxt += static_cast<u32>(seg.payload.size());
       transmit(tcb, tcb.snd_nxt, TcpFlags::kAck, {});
     } else {

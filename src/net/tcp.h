@@ -13,7 +13,14 @@
 // O(live connections), not O(every socket ever opened): a tick visits only
 // TCBs that can still act, and a segment finds its connection through a
 // 4-tuple index and its listener through a port index. Active opens never
-// share a 4-tuple with a live connection (see connect()). Not implemented
+// share a 4-tuple with a live connection (see connect()).
+//
+// Each connection holds its bytes in two common::ByteQueues: a send buffer
+// whose front bytes are in flight (transmitted, unacked, aligned to
+// snd_una) and whose tail is not yet sent, and a receive buffer. Either
+// frees its storage when drained, and the send buffer is released when
+// the connection closes, so a drained or dead TCB owns no buffer storage:
+// only its fixed-size state stays resident until reaped. Not implemented
 // (out of scope, documented in DESIGN.md): TIME_WAIT expiry, sliding receive
 // windows, congestion control, SACK, urgent data.
 //
@@ -23,8 +30,10 @@
 
 #include <deque>
 #include <map>
+#include <span>
 #include <vector>
 
+#include "common/byte_queue.h"
 #include "common/ringlog.h"
 #include "common/status.h"
 #include "net/simnet.h"
@@ -216,9 +225,11 @@ class TcpStack : public NetworkEndpoint {
     u32 snd_una = 0;   // oldest unacked
     u32 snd_nxt = 0;   // next to send
     u32 rcv_nxt = 0;   // next expected
-    std::deque<u8> send_queue;  // not yet transmitted
-    std::deque<u8> inflight;    // transmitted, unacked (aligned to snd_una)
-    std::deque<u8> recv_queue;
+    // The first `inflight` bytes of send_buf are transmitted and unacked
+    // (aligned to snd_una); the rest are not yet transmitted.
+    common::ByteQueue send_buf;
+    std::size_t inflight = 0;
+    common::ByteQueue recv_buf;
     bool fin_pending = false;   // close() requested
     bool fin_sent = false;
     bool peer_fin = false;
@@ -236,7 +247,7 @@ class TcpStack : public NetworkEndpoint {
     u64 rtt_samples = 0;
     // Listener-only:
     int backlog = 0;
-    std::deque<int> accept_queue;
+    std::vector<int> accept_queue;
   };
 
   Tcb* find(int sock);
@@ -261,12 +272,14 @@ class TcpStack : public NetworkEndpoint {
   /// Drop `tcb`'s tuple from the index if `tcb` holds it.
   void unindex(const Tcb& tcb);
 
-  void transmit(const Tcb& tcb, u32 seq, u8 flags, std::vector<u8> payload);
+  /// Put one segment on the wire; its payload is copied once, from `payload`.
+  void transmit(const Tcb& tcb, u32 seq, u8 flags,
+                std::span<const u8> payload = {});
   /// Every connection state change funnels through here so the trace sees
   /// each transition exactly once (a = from, b = to).
   void transition(Tcb& tcb, TcpState to);
   u32 conn_trace_id(const Tcb& tcb) const;
-  void pump(Tcb& tcb);            // move send_queue -> wire within window
+  void pump(Tcb& tcb);            // send unsent bytes within the window
   void arm_retx(Tcb& tcb);
   void retransmit(Tcb& tcb);
   void kill(Tcb& tcb, bool reset);

@@ -204,12 +204,13 @@ CryptoCellError CryptoCell::execute(u32 desc) {
       for (std::size_t i = 0; i < iv.size(); ++i) {
         iv[i] = mem_->read_phys(iv_addr + static_cast<u32>(i));
       }
-      const std::vector<u8> out =
-          op == CryptoCellOp::kAesCbcEncrypt
-              ? crypto::cbc_encrypt(*slot.aes, iv, data)
-              : crypto::cbc_decrypt(*slot.aes, iv, data);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        mem_->write_phys(dst + static_cast<u32>(i), out[i]);
+      if (op == CryptoCellOp::kAesCbcEncrypt) {
+        crypto::cbc_encrypt(*slot.aes, iv, data, data);
+      } else {
+        crypto::cbc_decrypt(*slot.aes, iv, data, data);
+      }
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        mem_->write_phys(dst + static_cast<u32>(i), data[i]);
       }
       charge(cost + dma_cycles(2 * len + crypto::kAesBlockBytes) +
              (len / crypto::kAesBlockBytes) * timing_.aes_block_cycles);

@@ -131,4 +131,30 @@ void prf_sha1(std::span<const u8> secret, std::span<const u8> label,
   }
 }
 
+std::vector<u8> pkcs7_pad(std::span<const u8> data, std::size_t block) {
+  const std::size_t pad = block - (data.size() % block);
+  std::vector<u8> out(data.begin(), data.end());
+  out.insert(out.end(), pad, static_cast<u8>(pad));
+  return out;
+}
+
+common::Result<std::vector<u8>> pkcs7_unpad(std::span<const u8> data,
+                                            std::size_t block) {
+  using common::ErrorCode;
+  using common::Status;
+  if (data.empty() || data.size() % block != 0) {
+    return Status(ErrorCode::kDataLoss, "bad padded length");
+  }
+  const u8 pad = data.back();
+  if (pad == 0 || pad > block) {
+    return Status(ErrorCode::kDataLoss, "bad padding byte");
+  }
+  for (std::size_t i = data.size() - pad; i < data.size(); ++i) {
+    if (data[i] != pad) {
+      return Status(ErrorCode::kDataLoss, "inconsistent padding");
+    }
+  }
+  return std::vector<u8>(data.begin(), data.end() - pad);
+}
+
 }  // namespace rmc::crypto::reference

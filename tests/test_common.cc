@@ -1,7 +1,9 @@
 // Unit tests for src/common: byte helpers, hex codecs, Status/Result,
-// RingLog (the paper's circular-buffer logging fix), and the PRNGs.
+// RingLog (the paper's circular-buffer logging fix), the PRNGs, and the
+// ByteQueue FIFO under TCP and the record layer.
 #include <gtest/gtest.h>
 
+#include "common/byte_queue.h"
 #include "common/bytes.h"
 #include "common/prng.h"
 #include "common/ringlog.h"
@@ -176,6 +178,73 @@ TEST(Prng, FillCoversBuffer) {
   int nonzero = 0;
   for (u8 b : buf) nonzero += (b != 0);
   EXPECT_GT(nonzero, 32);  // all-zero fill would indicate a broken generator
+}
+
+// ---------------------------------------------------------------------------
+// ByteQueue
+// ---------------------------------------------------------------------------
+
+std::vector<u8> live(const ByteQueue& q) {
+  return std::vector<u8>(q.data(), q.data() + q.size());
+}
+
+TEST(ByteQueue, AppendAndConsumeAcrossCompaction) {
+  // Seeded appends and consumes of every size leave the live bytes at
+  // every offset when an append compacts or grows the storage; every byte
+  // must come out once, in order.
+  ByteQueue q;
+  Xorshift64 rng(23);
+  std::vector<u8> sent, got;
+  for (int round = 0; round < 2'000; ++round) {
+    std::vector<u8> chunk(rng.next_below(600));
+    rng.fill(chunk);
+    q.append(chunk);
+    sent.insert(sent.end(), chunk.begin(), chunk.end());
+    const std::size_t n = rng.next_below(static_cast<u32>(q.size()) + 1);
+    got.insert(got.end(), q.data(), q.data() + n);
+    q.consume(n);
+    ASSERT_EQ(q.size(), sent.size() - got.size()) << round;
+  }
+  got.insert(got.end(), q.data(), q.data() + q.size());
+  q.consume(q.size());
+  EXPECT_EQ(got, sent);
+}
+
+TEST(ByteQueue, CompactsBeforeGrowing) {
+  // 60 consumed bytes sit in front of 4 live ones. An append that fits
+  // once those 4 move to the front must not grow the storage.
+  ByteQueue q;
+  std::vector<u8> first(64);
+  for (std::size_t i = 0; i < first.size(); ++i) first[i] = static_cast<u8>(i);
+  q.append(first);
+  const std::size_t cap = q.capacity();
+  q.consume(60);
+  const std::vector<u8> second(cap - 4, 0xAB);
+  q.append(second);
+  EXPECT_EQ(q.capacity(), cap);
+  std::vector<u8> want(cap, 0xAB);
+  std::copy(first.end() - 4, first.end(), want.begin());
+  EXPECT_EQ(live(q), want);
+  // One byte more than the storage holds grows it, keeping every byte.
+  q.append(std::vector<u8>{0xCD});
+  EXPECT_GT(q.capacity(), cap);
+  want.push_back(0xCD);
+  EXPECT_EQ(live(q), want);
+}
+
+TEST(ByteQueue, DrainedQueueHoldsNoStorage) {
+  ByteQueue q;
+  EXPECT_EQ(q.capacity(), 0u);
+  q.append(std::vector<u8>(1'000, 7));
+  q.consume(400);
+  EXPECT_GE(q.capacity(), 1'000u);  // live bytes keep their storage
+  q.consume(600);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+  q.append(std::vector<u8>{1, 2, 3});
+  EXPECT_EQ(live(q), (std::vector<u8>{1, 2, 3}));
+  q.consume(3);
+  EXPECT_EQ(q.capacity(), 0u);
 }
 
 }  // namespace

@@ -185,13 +185,17 @@ TEST(Aes, EncryptDecryptRoundTripProperty) {
 // Modes
 // ---------------------------------------------------------------------------
 
+// The PKCS#7 and ECB cases exercise the test oracle in crypto_reference.h
+// (the record layer pads in place, and nothing ships ECB); the CBC cases
+// hold the product's span CBC to the oracle's vector CBC.
+
 TEST(Modes, Pkcs7PadAlwaysAddsBytes) {
   for (std::size_t n = 0; n <= 48; ++n) {
     std::vector<u8> data(n, 0xAA);
-    const auto padded = pkcs7_pad(data, 16);
+    const auto padded = ref::pkcs7_pad(data, 16);
     EXPECT_EQ(padded.size() % 16, 0u);
     EXPECT_GT(padded.size(), data.size());
-    auto back = pkcs7_unpad(padded, 16);
+    auto back = ref::pkcs7_unpad(padded, 16);
     ASSERT_TRUE(back.ok()) << n;
     EXPECT_EQ(*back, data);
   }
@@ -199,16 +203,16 @@ TEST(Modes, Pkcs7PadAlwaysAddsBytes) {
 
 TEST(Modes, Pkcs7UnpadRejectsTampering) {
   std::vector<u8> data(10, 0x42);
-  auto padded = pkcs7_pad(data, 16);
+  auto padded = ref::pkcs7_pad(data, 16);
   padded.back() = 0;  // invalid pad byte
-  EXPECT_FALSE(pkcs7_unpad(padded, 16).ok());
+  EXPECT_FALSE(ref::pkcs7_unpad(padded, 16).ok());
   padded.back() = 17;  // > block
-  EXPECT_FALSE(pkcs7_unpad(padded, 16).ok());
+  EXPECT_FALSE(ref::pkcs7_unpad(padded, 16).ok());
   padded.back() = 6;
   padded[padded.size() - 3] ^= 0xFF;  // inconsistent fill
-  EXPECT_FALSE(pkcs7_unpad(padded, 16).ok());
-  EXPECT_FALSE(pkcs7_unpad(std::vector<u8>{}, 16).ok());
-  EXPECT_FALSE(pkcs7_unpad(std::vector<u8>(15, 1), 16).ok());
+  EXPECT_FALSE(ref::pkcs7_unpad(padded, 16).ok());
+  EXPECT_FALSE(ref::pkcs7_unpad(std::vector<u8>{}, 16).ok());
+  EXPECT_FALSE(ref::pkcs7_unpad(std::vector<u8>(15, 1), 16).ok());
 }
 
 TEST(Modes, CbcRoundTripAndChaining) {
@@ -220,13 +224,15 @@ TEST(Modes, CbcRoundTripAndChaining) {
   ASSERT_TRUE(aes.ok());
   std::vector<u8> pt(64);
   rng.fill(pt);
-  const auto ct = cbc_encrypt(*aes, iv, pt);
-  EXPECT_EQ(cbc_decrypt(*aes, iv, ct), pt);
+  std::vector<u8> ct(pt.size()), back(pt.size());
+  cbc_encrypt(*aes, iv, pt, ct);
+  cbc_decrypt(*aes, iv, ct, back);
+  EXPECT_EQ(back, pt);
   // Identical plaintext blocks must encrypt differently under CBC.
   std::vector<u8> repeated(32, 0x55);
-  const auto ct2 = cbc_encrypt(*aes, iv, repeated);
-  EXPECT_NE(std::vector<u8>(ct2.begin(), ct2.begin() + 16),
-            std::vector<u8>(ct2.begin() + 16, ct2.end()));
+  cbc_encrypt(*aes, iv, repeated, repeated);  // in place
+  EXPECT_NE(std::vector<u8>(repeated.begin(), repeated.begin() + 16),
+            std::vector<u8>(repeated.begin() + 16, repeated.end()));
 }
 
 TEST(Modes, CbcInteroperatesBetweenFastAndReference) {
@@ -236,13 +242,22 @@ TEST(Modes, CbcInteroperatesBetweenFastAndReference) {
     rng.fill(key);
     rng.fill(iv);
     rng.fill(pt);
-    auto ref = Aes::create(key);
+    auto plain = Aes::create(key);
     auto fast = AesFast::create(key);
-    ASSERT_TRUE(ref.ok() && fast.ok());
-    const auto ct = cbc_encrypt(*fast, iv, pt);
-    EXPECT_EQ(ct, cbc_encrypt(*ref, iv, pt)) << key_len;
-    EXPECT_EQ(cbc_decrypt(*ref, iv, ct), pt) << key_len;
-    EXPECT_EQ(cbc_decrypt(*fast, iv, ct), pt) << key_len;
+    ASSERT_TRUE(plain.ok() && fast.ok());
+    const auto want = ref::cbc_encrypt(*plain, iv, pt);
+    std::vector<u8> ct(pt.size());
+    cbc_encrypt(*fast, iv, pt, ct);
+    EXPECT_EQ(ct, want) << key_len;
+    std::vector<u8> in_place = pt;
+    cbc_encrypt(*fast, iv, in_place, in_place);
+    EXPECT_EQ(in_place, want) << key_len;
+    EXPECT_EQ(ref::cbc_decrypt(*plain, iv, ct), pt) << key_len;
+    std::vector<u8> back(ct.size());
+    cbc_decrypt(*fast, iv, ct, back);
+    EXPECT_EQ(back, pt) << key_len;
+    cbc_decrypt(*fast, iv, in_place, in_place);
+    EXPECT_EQ(in_place, pt) << key_len;
   }
 }
 
@@ -250,7 +265,10 @@ TEST(Modes, CbcIvChangesCiphertext) {
   std::vector<u8> key(16, 1), iv1(16, 2), iv2(16, 3), pt(32, 4);
   auto aes = Aes::create(key);
   ASSERT_TRUE(aes.ok());
-  EXPECT_NE(cbc_encrypt(*aes, iv1, pt), cbc_encrypt(*aes, iv2, pt));
+  std::vector<u8> ct1(pt.size()), ct2(pt.size());
+  cbc_encrypt(*aes, iv1, pt, ct1);
+  cbc_encrypt(*aes, iv2, pt, ct2);
+  EXPECT_NE(ct1, ct2);
 }
 
 TEST(Modes, EcbLeaksEqualBlocks) {
@@ -258,7 +276,7 @@ TEST(Modes, EcbLeaksEqualBlocks) {
   std::vector<u8> key(16, 9), pt(32, 0x77);
   auto aes = Aes::create(key);
   ASSERT_TRUE(aes.ok());
-  const auto ct = ecb_encrypt(*aes, pt);
+  const auto ct = ref::ecb_encrypt(*aes, pt);
   EXPECT_EQ(std::vector<u8>(ct.begin(), ct.begin() + 16),
             std::vector<u8>(ct.begin() + 16, ct.end()));
 }

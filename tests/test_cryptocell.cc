@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
-#include "crypto/modes.h"
 #include "crypto/sha1.h"
+#include "crypto_reference.h"
 #include "dynk/cryptodev.h"
 #include "issl/record.h"
 #include "rabbit/board.h"
@@ -149,7 +149,7 @@ TEST(CryptoCellHw, AesCbcEncryptMatchesSoftware) {
   auto cipher = crypto::AesFast::create(key);
   ASSERT_TRUE(cipher.ok());
   EXPECT_EQ(rig.peek(EngineRig::kOut, pt.size()),
-            crypto::cbc_encrypt(*cipher, iv, pt));
+            crypto::reference::cbc_encrypt(*cipher, iv, pt));
   EXPECT_EQ(rig.desc_status(0), 1);  // key load ok
   EXPECT_EQ(rig.desc_status(1), 1);  // encrypt ok
   EXPECT_EQ(rig.rd(7), 2);           // head consumed both
@@ -171,7 +171,7 @@ TEST(CryptoCellHw, AesCbcDecryptRoundTrips) {
   rng.fill(pt);
   auto cipher = crypto::AesFast::create(key);
   ASSERT_TRUE(cipher.ok());
-  const std::vector<u8> ct = crypto::cbc_encrypt(*cipher, iv, pt);
+  const std::vector<u8> ct = crypto::reference::cbc_encrypt(*cipher, iv, pt);
 
   rig.load_aes_key(key);
   rig.poke(EngineRig::kData, ct);
@@ -379,7 +379,7 @@ TEST(CryptoDevDriver, ProbeSucceedsAfterAttach) {
 
   auto cipher = crypto::AesFast::create(std::span<const u8>(key));
   ASSERT_TRUE(cipher.ok());
-  EXPECT_EQ(*enc, crypto::cbc_encrypt(*cipher, iv, data));
+  EXPECT_EQ(*enc, crypto::reference::cbc_encrypt(*cipher, iv, data));
 }
 
 TEST(CryptoDevDriver, BlockingOpsMatchSoftwareCrypto) {
@@ -400,7 +400,7 @@ TEST(CryptoDevDriver, BlockingOpsMatchSoftwareCrypto) {
   ASSERT_TRUE(ct.ok());
   auto cipher = crypto::AesFast::create(std::span<const u8>(key));
   ASSERT_TRUE(cipher.ok());
-  EXPECT_EQ(*ct, crypto::cbc_encrypt(*cipher, iv, pt));
+  EXPECT_EQ(*ct, crypto::reference::cbc_encrypt(*cipher, iv, pt));
 
   auto back = dev.aes_cbc(false, key, iv, *ct);
   ASSERT_TRUE(back.ok());
@@ -466,7 +466,7 @@ TEST(CryptoDevDriver, AsyncSubmitPollTakesResult) {
   }
   auto cipher = crypto::AesFast::create(std::span<const u8>(key));
   ASSERT_TRUE(cipher.ok());
-  EXPECT_EQ(dev.take_data(), crypto::cbc_encrypt(*cipher, iv, pt));
+  EXPECT_EQ(dev.take_data(), crypto::reference::cbc_encrypt(*cipher, iv, pt));
   EXPECT_FALSE(dev.op_pending());
 }
 

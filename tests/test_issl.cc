@@ -1,13 +1,15 @@
 // issl tests: record-layer properties (confidentiality framing, MAC
 // rejection, sequence binding, the MAC input checked against the reference
-// HMAC), full handshakes over the simulated network in both key-exchange
-// modes, negotiation failures that reproduce the paper's dropped features,
-// data transfer under packet loss, and clean close semantics.
+// HMAC, a sealed record checked against one composed from the reference
+// CBC and PKCS#7, malformed padding told apart from a MAC failure), full
+// handshakes over the simulated network in both key-exchange modes,
+// negotiation failures that reproduce the paper's dropped features, data
+// transfer under packet loss and in bursts past one pump's intake, and
+// clean close semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "crypto/modes.h"
 #include "crypto_reference.h"
 #include "issl/issl.h"
 #include "net/simnet.h"
@@ -179,10 +181,11 @@ TEST(Record, MacMatchesReferenceOverSeqTypeAndPlaintext) {
     auto wire = sender.seal(type, plaintext);
     ASSERT_TRUE(wire.ok());
     const std::span<const u8> body(*wire);
-    const auto padded = crypto::cbc_decrypt(
+    const auto padded = crypto::reference::cbc_decrypt(
         *aes, body.subspan(kRecordHeaderBytes, crypto::kAesBlockBytes),
         body.subspan(kRecordHeaderBytes + crypto::kAesBlockBytes));
-    auto unpadded = crypto::pkcs7_unpad(padded, crypto::kAesBlockBytes);
+    auto unpadded =
+        crypto::reference::pkcs7_unpad(padded, crypto::kAesBlockBytes);
     ASSERT_TRUE(unpadded.ok());
     ASSERT_EQ(unpadded->size(), plaintext.size() + crypto::kSha1DigestBytes);
     EXPECT_TRUE(
@@ -240,6 +243,138 @@ TEST(Record, WorkFollowsTheWireShape) {
   }
 }
 
+std::vector<u8> mac_input(common::u64 seq, RecordType type,
+                          std::span<const u8> plaintext) {
+  std::vector<u8> in;
+  for (int i = 7; i >= 0; --i) in.push_back(static_cast<u8>(seq >> (8 * i)));
+  in.push_back(static_cast<u8>(type));
+  in.insert(in.end(), plaintext.begin(), plaintext.end());
+  return in;
+}
+
+// header || body, the way the wire frames every record.
+std::vector<u8> framed(RecordType type, std::span<const u8> body) {
+  std::vector<u8> wire(kRecordHeaderBytes + body.size());
+  wire[0] = static_cast<u8>(type);
+  wire[1] = kIsslVersion;
+  wire[2] = static_cast<u8>(body.size() >> 8);
+  wire[3] = static_cast<u8>(body.size() & 0xFF);
+  std::copy(body.begin(), body.end(), wire.begin() + kRecordHeaderBytes);
+  return wire;
+}
+
+TEST(Record, SealMatchesComposedReference) {
+  // The codec lays a record out in its wire vector and encrypts it in
+  // place; the oracle composes the same record one fresh vector per step:
+  // header || IV || CBC(pkcs7_pad(plaintext || HMAC(seq || type ||
+  // plaintext))). The IV is whatever the codec drew, read off the wire.
+  for (const std::size_t key_bytes : {16, 24, 32}) {
+    SCOPED_TRACE(key_bytes);
+    common::Xorshift64 key_rng(key_bytes);
+    DirectionKeys keys;
+    keys.aes_key.resize(key_bytes);
+    key_rng.fill(keys.aes_key);
+    key_rng.fill(keys.mac_key);
+    common::Xorshift64 rng(61);
+    RecordCodec sender(rng), receiver(rng);
+    ASSERT_TRUE(sender.activate_keys(keys, test_keys(3)).is_ok());
+    ASSERT_TRUE(receiver.activate_keys(test_keys(3), keys).is_ok());
+    auto aes = crypto::Aes::create(keys.aes_key);
+    ASSERT_TRUE(aes.ok());
+    std::vector<std::size_t> sizes(101);
+    for (std::size_t p = 0; p <= 100; ++p) sizes[p] = p;
+    sizes.push_back(1'000);
+    sizes.push_back(kMaxRecordPayload);
+    common::u64 seq = 0;
+    for (const std::size_t size : sizes) {
+      SCOPED_TRACE(size);
+      std::vector<u8> plaintext(size);
+      key_rng.fill(plaintext);
+      const RecordType type = size % 2 == 0 ? RecordType::kApplicationData
+                                            : RecordType::kHandshake;
+      auto wire = sender.seal(type, plaintext);
+      ASSERT_TRUE(wire.ok());
+      ASSERT_GE(wire->size(), kRecordHeaderBytes + crypto::kAesBlockBytes);
+      const std::span<const u8> iv(wire->data() + kRecordHeaderBytes,
+                                   crypto::kAesBlockBytes);
+      std::vector<u8> inner = plaintext;
+      const auto mac = crypto::reference::hmac_sha1(
+          keys.mac_key, mac_input(seq++, type, plaintext));
+      inner.insert(inner.end(), mac.begin(), mac.end());
+      std::vector<u8> body(iv.begin(), iv.end());
+      const auto ct = crypto::reference::cbc_encrypt(
+          *aes, iv,
+          crypto::reference::pkcs7_pad(inner, crypto::kAesBlockBytes));
+      body.insert(body.end(), ct.begin(), ct.end());
+      EXPECT_EQ(*wire, framed(type, body));
+
+      ASSERT_TRUE(receiver.feed(*wire).is_ok());
+      const Record opened = pop_record(receiver);
+      EXPECT_EQ(opened.type, type);
+      EXPECT_EQ(opened.payload, plaintext);
+    }
+    EXPECT_EQ(receiver.buffered_bytes(), 0u);
+  }
+}
+
+common::u64 malformed_count() {
+  const auto* c =
+      telemetry::Registry::global().find_counter("issl.malformed_records");
+  return c != nullptr ? c->value() : 0;
+}
+
+common::u64 mac_failure_count() {
+  const auto* c =
+      telemetry::Registry::global().find_counter("issl.mac_failures");
+  return c != nullptr ? c->value() : 0;
+}
+
+TEST(Record, BadPaddingIsMalformedNotMacFailure) {
+  // Bodies whose decrypted tail cannot be honest PKCS#7, or that leave no
+  // room for the MAC, are refused as malformed before any MAC is computed:
+  // they count in malformed_records(), never in issl.mac_failures.
+  const DirectionKeys keys = test_keys(4);
+  auto aes = crypto::Aes::create(keys.aes_key);
+  ASSERT_TRUE(aes.ok());
+  const std::vector<u8> iv(crypto::kAesBlockBytes, 0x3C);
+  struct Case {
+    const char* name;
+    std::vector<u8> plaintext;  // decrypted body, padding included
+  };
+  std::vector<Case> cases;
+  std::vector<u8> p(48, 0x11);
+  p.back() = 0;
+  cases.push_back({"pad byte 0", p});
+  p.back() = 17;
+  cases.push_back({"pad byte 17", p});
+  std::fill(p.end() - 6, p.end(), u8{6});
+  p[p.size() - 4] = 0x99;
+  cases.push_back({"inconsistent fill", p});
+  std::vector<u8> short_body(32, 0x22);
+  std::fill(short_body.end() - 16, short_body.end(), u8{16});
+  cases.push_back({"shorter than its MAC", short_body});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    common::Xorshift64 rng(5);
+    RecordCodec receiver(rng);
+    ASSERT_TRUE(receiver.activate_keys(test_keys(9), keys).is_ok());
+    std::vector<u8> body = iv;
+    const auto ct = crypto::reference::cbc_encrypt(*aes, iv, c.plaintext);
+    body.insert(body.end(), ct.begin(), ct.end());
+    const common::u64 malformed_before = malformed_count();
+    const common::u64 mac_failures_before = mac_failure_count();
+    ASSERT_TRUE(
+        receiver.feed(framed(RecordType::kApplicationData, body)).is_ok());
+    const auto r = receiver.pop();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kDataLoss);
+    EXPECT_EQ(receiver.malformed_records(), 1u);
+    EXPECT_EQ(malformed_count(), malformed_before + 1);
+    EXPECT_EQ(mac_failure_count(), mac_failures_before);
+    EXPECT_TRUE(receiver.poisoned());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session-level fail-closed behaviour under wire corruption
 // ---------------------------------------------------------------------------
@@ -263,12 +398,6 @@ class HalfStream final : public ByteStream {
   PipeStream& out_;
   PipeStream& in_;
 };
-
-common::u64 mac_failure_count() {
-  const auto* c =
-      telemetry::Registry::global().find_counter("issl.mac_failures");
-  return c != nullptr ? c->value() : 0;
-}
 
 TEST(SessionTest, FlippedCiphertextBitFailsClosedWithExactlyOneMacFailure) {
   PipeStream c2s, s2c;
@@ -316,6 +445,46 @@ TEST(SessionTest, FlippedCiphertextBitFailsClosedWithExactlyOneMacFailure) {
     EXPECT_FALSE(issl_read(server).ok());
   }
   EXPECT_TRUE(server.failed());
+}
+
+TEST(SessionTest, FourMaximumRecordsInOneBurstArriveIntact) {
+  // Nothing makes a writer wait for its reader: four maximum records
+  // (65,744 wire bytes) sit in the transport before the server pumps. Each
+  // pump may take only what the reassembly bound leaves room for, on top
+  // of the partial record the previous pump left, and must leave the rest
+  // queued rather than read it as an overflow and poison an honest peer.
+  PipeStream c2s, s2c;
+  HalfStream client_end(c2s, s2c), server_end(s2c, c2s);
+  common::Xorshift64 client_rng(43), server_rng(44);
+  const auto psk = bytes_of("burst-key");
+  auto client =
+      issl_bind_client(client_end, Config::embedded_port(), client_rng, psk);
+  ServerIdentity id;
+  id.psk = psk;
+  auto server =
+      issl_bind_server(server_end, Config::embedded_port(), server_rng, id);
+  for (int i = 0;
+       i < 200 && !(client.established() && server.established()); ++i) {
+    (void)client.pump();
+    (void)server.pump();
+  }
+  ASSERT_TRUE(client.established() && server.established());
+
+  std::vector<u8> burst(4 * kMaxRecordPayload);
+  common::Xorshift64 fill(45);
+  fill.fill(burst);
+  ASSERT_TRUE(issl_write(client, burst).ok());
+  EXPECT_EQ(c2s.buf_.size(), 65'744u);
+  const common::u64 malformed_before = malformed_count();
+  std::vector<u8> got;
+  for (int i = 0; i < 20 && got.size() < burst.size(); ++i) {
+    ASSERT_TRUE(server.pump().is_ok()) << "after " << got.size() << " bytes";
+    auto r = issl_read(server);
+    if (r.ok()) got.insert(got.end(), r->begin(), r->end());
+  }
+  EXPECT_FALSE(server.failed());
+  EXPECT_EQ(got, burst);
+  EXPECT_EQ(malformed_count(), malformed_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 // API facades (BSD-style and Dynamic-C-style).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/prng.h"
 #include "net/bsd.h"
 #include "net/dcnet.h"
@@ -189,6 +191,64 @@ TEST(Tcp, RecoversFromHeavyLoss) {
   }
   EXPECT_EQ(got, data);  // exact bytes despite drops: retransmission works
   EXPECT_GT(h.client.retransmissions(), 0u);
+}
+
+// Hands every segment addressed to `stack` on to it, keeping a copy.
+class Tap final : public NetworkEndpoint {
+ public:
+  Tap(SimNet& net, IpAddr addr, TcpStack& stack) : stack_(stack) {
+    net.attach(addr, this);  // replaces the stack's own attachment
+  }
+  void deliver(const Segment& s) override {
+    seen.push_back(s);
+    stack_.deliver(s);
+  }
+  void on_tick(u64 now_ms) override { stack_.on_tick(now_ms); }
+
+  std::vector<Segment> seen;
+
+ private:
+  TcpStack& stack_;
+};
+
+TEST(Tcp, RetransmitAfterPartialAckResendsFromSndUna) {
+  // The first window (four segments) arrives and is acked a segment at a
+  // time; each ACK opens the window for one more segment, and every one of
+  // those is lost, with unsent bytes still queued behind them. Go-back-N
+  // must resend the oldest unacked bytes at snd_una, not the next unsent
+  // ones, and the receiver must end up with the exact stream.
+  TwoHosts h;
+  auto [sconn, cconn] = h.connect();
+  Tap tap(h.net, kServerIp, h.server);
+  std::vector<u8> data(6'000);
+  common::Xorshift64 rng(29);
+  rng.fill(data);
+  ASSERT_TRUE(h.client.send(cconn, data).ok());
+  h.net.tick(1);  // the first window reaches the server, which acks it
+  ASSERT_EQ(tap.seen.size(), 4u);
+  const u32 first_seq = tap.seen.front().seq;
+  // Everything sent from the next ms on, when those ACKs land, is lost.
+  FaultPlan plan;
+  plan.partitions.push_back({h.net.now_ms() + 1, h.net.now_ms() + 100});
+  h.net.set_fault_plan(plan);
+  tap.seen.clear();
+  std::vector<u8> got;
+  for (int i = 0; i < 10'000 && got.size() < data.size(); ++i) {
+    h.net.tick(1);
+    auto part = h.drain(h.server, sconn);
+    got.insert(got.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(got, data);
+  EXPECT_GT(h.client.retransmissions(), 0u);
+  // The first segment through after the loss is the retransmission. It
+  // starts at snd_una, just past the acked window, and carries the bytes
+  // found there.
+  ASSERT_FALSE(tap.seen.empty());
+  const Segment& resent = tap.seen.front();
+  EXPECT_EQ(resent.seq, static_cast<u32>(first_seq + TcpStack::kWindow));
+  ASSERT_EQ(resent.payload.size(), TcpStack::kMss);
+  EXPECT_TRUE(std::equal(resent.payload.begin(), resent.payload.end(),
+                         data.begin() + TcpStack::kWindow));
 }
 
 TEST(Tcp, HandshakeSurvivesSynLoss) {
