@@ -15,7 +15,12 @@
 #      engine's use of AesFast and hmac_sha1), of test_net and test_edges
 #      (the TCP tick list and demultiplexing indexes, erased while lookups
 #      run, the send buffer's in-flight offsets, the bulk receive copy, and
-#      the 16k-connect port-wrap test), and of the soak and fault benches —
+#      the 16k-connect port-wrap test), of the interpreter's tests —
+#      test_dispatch, test_rabbit, test_rabbit_isa and test_aes_port (the
+#      fast loop indexes its decode page from a running physical PC, so a
+#      fetch off the page would be a heap overflow; the fast-vs-legacy
+#      differentials and the real AES images run here) — and of the soak
+#      and fault benches —
 #      E9 (wire faults), E10 (board deaths), E11 (resumption), E12 (trace
 #      audit), E14 (the engine record gate), E15 (hostile peers + fuzz),
 #      E16 (reduced-scale slab churn in quarantine/poison mode) and E17
@@ -66,13 +71,15 @@ cmake --build "$repo_root/build" -j >/dev/null
 (cd "$repo_root/build" && ctest --output-on-failure -j)
 
 echo
-echo "== sanitizers: ASan+UBSan test_common/crypto/issl/cryptocell/net/edges + E9-E12 + E14-E17 =="
+echo "== sanitizers: ASan+UBSan test_common/crypto/issl/cryptocell/net/edges + interpreter tests + E9-E12 + E14-E17 =="
 san_dir="$repo_root/build-san"
 cmake -B "$san_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Debug -DRMC_SANITIZE=address,undefined >/dev/null
 cmake --build "$san_dir" -j --target test_common --target test_crypto \
   --target test_issl --target test_cryptocell \
   --target test_net --target test_edges \
+  --target test_dispatch --target test_rabbit \
+  --target test_rabbit_isa --target test_aes_port \
   --target bench_fault_soak --target bench_crash_soak \
   --target bench_resumption --target bench_trace_audit \
   --target bench_crypto_offload --target bench_abuse_soak \
@@ -88,7 +95,8 @@ for shard in 0 1 2 3; do
   shard_pids+=($!)
 done
 for pid in "${shard_pids[@]}"; do wait "$pid"; done
-for t in test_common test_issl test_cryptocell test_net test_edges; do
+for t in test_common test_issl test_cryptocell test_net test_edges \
+         test_dispatch test_rabbit test_rabbit_isa test_aes_port; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$san_dir/tests/$t" --gtest_brief=1
 done

@@ -19,9 +19,15 @@
 //     instruction decodes from scratch and peripherals tick per step.
 //   * kFast   — `run()` predecodes instructions into per-physical-page
 //     micro-op tables and dispatches them through computed gotos (a dense
-//     switch where the compiler lacks the extension). Peripheral ticks are
-//     batched between I/O boundaries, which is observationally identical
-//     because every peripheral's tick() is an additive accumulator.
+//     switch where the compiler lacks the extension). It fetches along the
+//     program: after an instruction that falls through, the next micro-op
+//     is the next slot of the same decode page, and the PC goes through
+//     the segment table again only after a taken control transfer, an XPC
+//     write or a return from step(). Per-step attribution lives in a second
+//     instance of the loop, chosen once per run from whether an observer is
+//     attached. Peripheral ticks are batched between I/O boundaries, which
+//     is observationally identical because every peripheral's tick() is an
+//     additive accumulator.
 // The fast path only runs while interrupts are globally disabled and no
 // breakpoints are set; anything needing per-step precision (EI/HALT/RETI,
 // pending IRQs, breakpoints, illegal opcodes) drops to the legacy step.
@@ -192,9 +198,10 @@ class Cpu : public CodeWatch {
   // only become stale when the backing bytes change; Memory's code watch
   // reports that (on_code_write) and the page is wiped for re-decode.
   /// Longest decodable instruction: ED CD nn nn xpc (LCALL). Bounds both
-  /// the page-edge guard (fetches never cross a 4 KiB page on the fast
-  /// path) and invalidation (a store can only stale decodings that start
-  /// within kMaxUopBytes-1 bytes before it).
+  /// the page-edge rule (decode_uop caches no instruction starting in the
+  /// last kMaxUopBytes-1 bytes of a page, so fast-path fetches never cross
+  /// a 4 KiB page) and invalidation (a store can only stale decodings that
+  /// start within kMaxUopBytes-1 bytes before it).
   static constexpr u32 kMaxUopBytes = 5;
   struct Uop {
     u8 kind = 0;  // UKind; 0 = not decoded
@@ -212,8 +219,11 @@ class Cpu : public CodeWatch {
   /// Fast-dispatch inner loop: runs while cycles_ < limit and the state
   /// needs no per-step precision (no pending EI/HALT/interrupt window).
   /// Leaves the architectural state exactly as the same span of legacy
-  /// step() calls would.
+  /// step() calls would. Picks the observed or the unobserved instance of
+  /// run_fast_loop once per call.
   void run_fast(u64 limit);
+  template <bool kObserved>
+  void run_fast_loop(u64 limit);
   void decode_uop(u32 phys, Uop& u) const;
 
   bool bp_hit(u16 pc) const;

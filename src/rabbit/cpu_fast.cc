@@ -7,8 +7,18 @@
 // long as an instruction's bytes live in one logical page its physical image
 // is contiguous under any SEGSIZE/DATASEG/STACKSEG/XPC setting and the
 // decoding stays valid across bank switches. Instructions that might cross a
-// page boundary (start offset > 0xFFF - 4) take the legacy per-step path
-// instead of complicating the cache.
+// page boundary (start offset > 0xFFF - 4) decode to kU_Slow and take the
+// legacy per-step path instead of complicating the cache.
+//
+// Fetch follows the program. An instruction that falls through without
+// touching the mapping is followed by the next slot of its own decode page
+// (slot + len): no segment-table lookup, no page compare. The PC is
+// translated again only after a taken control transfer (JP/JR/DJNZ/CALL/
+// RET/RST, JP (HL)/(IX)/(IY), a repeating LDIR/LDDR step), after every XPC
+// write (LD XPC,A, LJP, LCALL, LRET: the same logical PC may now live in
+// another bank) and after a return from step(). The loop keeps the PC, the
+// counters and the owed peripheral ticks in locals, and is instantiated
+// twice: with and without per-step attribution, picked once per run().
 //
 // Correctness contract: a run_fast() span retires exactly the instruction
 // stream the same span of legacy step() calls would — same architectural
@@ -21,6 +31,7 @@
 // byte-identical bench JSON.
 #include "rabbit/cpu.h"
 
+#include <cassert>
 #include <utility>
 
 namespace rmc::rabbit {
@@ -76,10 +87,15 @@ enum UKind : u8 {
 };
 
 void Cpu::decode_uop(u32 phys, Uop& u) const {
-  const auto rd = [&](u32 i) { return mem_.read_phys(phys + i); };
-  const u8 op = rd(0);
   u = Uop{};
   u.kind = kU_Slow;  // default: re-execute through the legacy step()
+  // Page-edge rule: an instruction starting in the last kMaxUopBytes-1
+  // bytes of its page might spill into the next logical page, which can map
+  // anywhere, so it is never cached. This also keeps every sequential fetch
+  // inside its decode page (run_fast_loop).
+  if ((phys & kPageMask) > kPageMask + 1 - kMaxUopBytes) return;
+  const auto rd = [&](u32 i) { return mem_.read_phys(phys + i); };
+  const u8 op = rd(0);
 
   // DD/FD-prefixed (IX/IY) forms. The prefix flag travels in bit 7 of `a`.
   if (op == 0xDD || op == 0xFD) {
@@ -357,24 +373,36 @@ void Cpu::decode_uop(u32 phys, Uop& u) const {
 #endif
 
 void Cpu::run_fast(u64 limit) {
+  // Attribution is chosen once per call from whether an observer is
+  // attached, so the unobserved loop carries no per-step attribution code.
+  if (observer_ != nullptr) {
+    run_fast_loop<true>(limit);
+  } else {
+    run_fast_loop<false>(limit);
+  }
+}
+
+template <bool kObserved>
+void Cpu::run_fast_loop(u64 limit) {
   Registers& r = regs_;
   const u32* const pd = mem_.page_deltas();
-  const StepSink* const sink = sink_;
-  CpuObserver* const obs = observer_;
-  // Hot counters live in registers for the duration of the loop; they are
-  // synced back to the members at every exit and around every legacy step()
-  // (which increments the members itself).
+  [[maybe_unused]] const StepSink* const sink = sink_;
+  [[maybe_unused]] CpuObserver* const obs = observer_;
+  // Hot state lives in locals for the duration of the loop; it is synced
+  // back to the members at every exit and around every legacy step() (which
+  // reads regs_.pc and increments the counters itself). Peripheral ticks
+  // are deferred: every cycle retired since tick_base is still owed to io_.
   u64 cyc = cycles_;
   u64 icount = instructions_;
-  u64 pending_tick = 0;
-  // Current decode page, cached across steps: straight-line code and loops
-  // stay in one 4 KiB page for thousands of steps. Safe to hold because
-  // pages are never freed, only their slots cleared (on_code_write).
+  u64 tick_base = cyc;
+  u16 pc = r.pc;  // logical PC of the next instruction
+  u16 pc0 = 0;    // logical PC of the executing instruction
+  // Decode page of the executing instruction and its slot there. Safe to
+  // hold across steps: pages are never freed, only their slots cleared
+  // (on_code_write), and the executing micro-op is copied into `u`.
   UopPage* cur_page = nullptr;
   u32 cur_base = ~0U;
-
-  u16 pc0 = 0;
-  u32 ppc = 0;
+  Uop* slot = nullptr;
   Uop u{};
 
 #ifdef RMC_CGOTO
@@ -386,84 +414,128 @@ void Cpu::run_fast(u64 limit) {
 #define UOP(n) case kU_##n:
 #endif
 
-// Fetch/decode/dispatch the instruction at r.pc. Instructions that could
-// spill past their 4 KiB logical page go through the legacy fetch path:
-// physical contiguity is only guaranteed in-page.
-//
-// Under computed goto this expands at the end of EVERY handler (token
-// threading): each opcode gets its own indirect-branch site, so the
-// predictor learns per-predecessor successor patterns instead of fighting
-// over one shared dispatch branch. The switch fallback keeps the single
-// shared site.
-#define FETCH_DISPATCH_BODY                                                \
+// Physical address of the executing instruction.
+#define PPC() (cur_base + static_cast<u32>(slot - cur_page->ops.data()))
+
+// Translating fetch: the PC goes through the segment table and the decode
+// page switches if it moved. Used on entry and after every taken control
+// transfer, XPC write and step() return.
+#define FETCH_TRANSLATE                                                    \
   if (cyc >= limit) goto out;                                              \
-  pc0 = r.pc;                                                              \
-  if ((pc0 & kPageMask) > kPageMask + 1 - kMaxUopBytes) goto slow_path;    \
-  ppc = (static_cast<u32>(pc0) + pd[pc0 >> 12]) & (Memory::kPhysSize - 1); \
+  pc0 = pc;                                                                \
   {                                                                        \
-    const u32 base__ = ppc & ~kPageMask;                                   \
+    const u32 ppc__ =                                                      \
+        (static_cast<u32>(pc0) + pd[pc0 >> 12]) & (Memory::kPhysSize - 1); \
+    const u32 base__ = ppc__ & ~kPageMask;                                 \
     if (base__ != cur_base) {                                              \
-      std::unique_ptr<UopPage>& page__ = uop_pages_[ppc / Memory::kPageSize]; \
+      std::unique_ptr<UopPage>& page__ = uop_pages_[ppc__ / Memory::kPageSize]; \
       if (page__ == nullptr) page__ = std::make_unique<UopPage>();         \
       cur_page = page__.get();                                             \
       cur_base = base__;                                                   \
     }                                                                      \
-    Uop& slot__ = cur_page->ops[ppc & kPageMask];                          \
-    if (slot__.kind == kU_Invalid) {                                       \
-      decode_uop(ppc, slot__);                                             \
-      mem_.watch_code_page(ppc / Memory::kPageSize);                       \
-    }                                                                      \
-    u = slot__; /* by value: the op's own stores may invalidate the slot */\
+    slot = &cur_page->ops[ppc__ & kPageMask];                              \
   }                                                                        \
-  r.pc = static_cast<u16>(pc0 + u.len)
+  u = *slot; /* by value: the op's own stores may invalidate the slot */   \
+  pc = static_cast<u16>(pc0 + u.len)
 
+// Sequential fetch: the executing instruction fell through and left the
+// mapping alone, so its successor is the next slot of the same decode page.
+// That slot is always inside the page: decode_uop caches no instruction
+// that starts in the last kMaxUopBytes-1 bytes of a page, so a cached
+// micro-op that falls through is at most 4 bytes long and ends in its page
+// (the 5-byte LJP/LCALL switch banks and always translate).
+#define FETCH_SEQUENTIAL                                                   \
+  if (cyc >= limit) goto out;                                              \
+  pc0 = pc;                                                                \
+  slot += u.len;                                                           \
+  u = *slot;                                                               \
+  pc = static_cast<u16>(pc0 + u.len)
+
+// Under computed goto the fetch expands at the end of EVERY handler (token
+// threading): each opcode gets its own indirect-branch site, so the
+// predictor learns per-predecessor successor patterns instead of fighting
+// over one shared dispatch branch. The switch fallback keeps the single
+// shared site.
 #ifdef RMC_CGOTO
-#define DISPATCH_NEXT                              \
+#define NEXT_TRANSLATE                             \
   do {                                             \
-    FETCH_DISPATCH_BODY;                           \
+    FETCH_TRANSLATE;                               \
     goto* kJump[u.kind];                           \
   } while (0)
+#define NEXT_SEQUENTIAL                            \
+  do {                                             \
+    FETCH_SEQUENTIAL;                              \
+    goto* kJump[u.kind];                           \
+  } while (0)
+#define REDISPATCH goto* kJump[u.kind]
 #else
-#define DISPATCH_NEXT goto top
+#define NEXT_TRANSLATE goto translate
+#define NEXT_SEQUENTIAL goto sequential
+#define REDISPATCH goto dispatch
 #endif
 
 // Per-step accounting, identical in order and content to the legacy
-// step() epilogue (instructions, cycles, tick, observe); the tick is
-// merely deferred into pending_tick. Ends by dispatching the next
-// instruction.
-#define RETIRE(c_)                                 \
-  do {                                             \
-    const unsigned c__ = (c_);                     \
-    ++icount;                                      \
-    cyc += c__;                                    \
-    pending_tick += c__;                           \
+// step() epilogue (instructions, cycles, tick, observe); the tick is merely
+// deferred into cyc - tick_base. RETIRE then fetches sequentially,
+// RETIRE_JUMP translates the new PC.
+#define ACCOUNT(c_)                                \
+  const unsigned c__ = (c_);                       \
+  ++icount;                                        \
+  cyc += c__;                                      \
+  if constexpr (kObserved) {                       \
+    const u32 ppc__ = PPC();                       \
     if (sink != nullptr) {                         \
-      const u16 ri__ = sink->region_of[ppc];       \
+      const u16 ri__ = sink->region_of[ppc__];     \
       sink->cycles[ri__] += c__;                   \
       sink->steps[ri__] += 1;                      \
-    } else if (obs != nullptr) {                   \
-      obs->on_step(pc0, ppc, c__);                 \
+    } else {                                       \
+      obs->on_step(pc0, ppc__, c__);               \
     }                                              \
-    DISPATCH_NEXT;                                 \
+  }
+#define RETIRE(c_)                                 \
+  do {                                             \
+    ACCOUNT(c_);                                   \
+    NEXT_SEQUENTIAL;                               \
+  } while (0)
+#define RETIRE_JUMP(c_)                            \
+  do {                                             \
+    ACCOUNT(c_);                                   \
+    NEXT_TRANSLATE;                                \
   } while (0)
 
 #define FLUSH_TICKS()                              \
   do {                                             \
-    if (pending_tick != 0) {                       \
-      io_.tick(pending_tick);                      \
-      pending_tick = 0;                            \
+    if (cyc != tick_base) {                        \
+      io_.tick(cyc - tick_base);                   \
+      tick_base = cyc;                             \
     }                                              \
   } while (0)
 
-top:
-  FETCH_DISPATCH_BODY;
+translate:
+  FETCH_TRANSLATE;
 #ifdef RMC_CGOTO
   goto* kJump[u.kind];
 #else
+  goto dispatch;
+sequential:
+  FETCH_SEQUENTIAL;
+dispatch:
   switch (u.kind) {
 #endif
 
-  UOP(Invalid)
+  UOP(Invalid) {
+    // First execution from this byte since it was last written: decode the
+    // slot (page-edge rule included), mark its page as code, and dispatch
+    // the fresh micro-op.
+    const u32 ppc = PPC();
+    decode_uop(ppc, *slot);
+    mem_.watch_code_page(ppc / Memory::kPageSize);
+    u = *slot;
+    assert(u.kind == kU_Ljp || u.kind == kU_Lcall ||
+           (ppc & kPageMask) + u.len < Memory::kPageSize);
+    pc = static_cast<u16>(pc0 + u.len);
+    REDISPATCH;
+  }
   UOP(Slow) {
     r.pc = pc0;
     goto slow_path;
@@ -619,19 +691,19 @@ top:
   UOP(Djnz) {
     r.b = static_cast<u8>(r.b - 1);
     if (r.b != 0) {
-      r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-      RETIRE(10);
+      pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
+      RETIRE_JUMP(10);
     }
     RETIRE(5);
   }
   UOP(Jr) {
-    r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-    RETIRE(5);
+    pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
+    RETIRE_JUMP(5);
   }
   UOP(JrCc) {
     if (cond(u.a)) {
-      r.pc = static_cast<u16>(r.pc + static_cast<i8>(u.imm));
-      RETIRE(5);
+      pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
+      RETIRE_JUMP(5);
     }
     RETIRE(3);
   }
@@ -665,12 +737,12 @@ top:
   // --- absolute control flow / stack --------------------------------------
   UOP(RetCc) {
     if (cond(u.a)) {
-      r.pc = pop16();
-      RETIRE(8);
+      pc = pop16();
+      RETIRE_JUMP(8);
     }
     RETIRE(2);
   }
-  UOP(Ret) { r.pc = pop16(); RETIRE(8); }
+  UOP(Ret) { pc = pop16(); RETIRE_JUMP(8); }
   UOP(PopBc) { r.set_bc(pop16()); RETIRE(7); }
   UOP(PopDe) { r.set_de(pop16()); RETIRE(7); }
   UOP(PopHl) { r.set_hl(pop16()); RETIRE(7); }
@@ -679,30 +751,33 @@ top:
   UOP(PushDe) { push16(r.de()); RETIRE(10); }
   UOP(PushHl) { push16(r.hl()); RETIRE(10); }
   UOP(PushAf) { push16(r.af()); RETIRE(10); }
-  UOP(Jp) { r.pc = u.imm; RETIRE(7); }
+  UOP(Jp) { pc = u.imm; RETIRE_JUMP(7); }
   UOP(JpCc) {
-    if (cond(u.a)) r.pc = u.imm;
+    if (cond(u.a)) {
+      pc = u.imm;
+      RETIRE_JUMP(7);
+    }
     RETIRE(7);
   }
-  UOP(JpHl) { r.pc = r.hl(); RETIRE(4); }
+  UOP(JpHl) { pc = r.hl(); RETIRE_JUMP(4); }
   UOP(Call) {
-    push16(r.pc);
-    r.pc = u.imm;
-    RETIRE(12);
+    push16(pc);
+    pc = u.imm;
+    RETIRE_JUMP(12);
   }
   UOP(CallCc) {
     if (cond(u.a)) {
-      push16(r.pc);
-      r.pc = u.imm;
-      RETIRE(12);
+      push16(pc);
+      pc = u.imm;
+      RETIRE_JUMP(12);
     }
     RETIRE(6);
   }
   UOP(Rst) {
     if (u.b != 0) ++debug_traps_;
-    push16(r.pc);
-    r.pc = u.a;
-    RETIRE(10);
+    push16(pc);
+    pc = u.a;
+    RETIRE_JUMP(10);
   }
   UOP(Mul) {
     const auto prod =
@@ -792,9 +867,11 @@ top:
     r.a = alu_sub8(0, a0, false);
     RETIRE(2);
   }
+  // Every XPC write translates the next fetch, even when the PC falls
+  // through: the same logical PC may now map to another bank.
   UOP(LdXpcA) {
     mem_.set_xpc(r.a);
-    RETIRE(4);
+    RETIRE_JUMP(4);
   }
   UOP(LdAXpc) {
     r.a = mem_.xpc();
@@ -809,21 +886,21 @@ top:
     RETIRE(2);
   }
   UOP(Ljp) {
-    r.pc = u.imm;
+    pc = u.imm;
     mem_.set_xpc(u.a);
-    RETIRE(10);
+    RETIRE_JUMP(10);
   }
   UOP(Lcall) {
-    push16(r.pc);
+    push16(pc);
     push16(mem_.xpc());
-    r.pc = u.imm;
+    pc = u.imm;
     mem_.set_xpc(u.a);
-    RETIRE(19);
+    RETIRE_JUMP(19);
   }
   UOP(Lret) {
     mem_.set_xpc(static_cast<u8>(pop16()));
-    r.pc = pop16();
-    RETIRE(13);
+    pc = pop16();
+    RETIRE_JUMP(13);
   }
   UOP(BlockLd) {
     // One LDI/LDD/LDIR/LDDR iteration; a repeating form re-executes this
@@ -838,8 +915,8 @@ top:
     set_flag(Flag::N, false);
     set_flag(Flag::PV, r.bc() != 0);
     if (repeat && r.bc() != 0) {
-      r.pc = pc0;
-      RETIRE(7);
+      pc = pc0;
+      RETIRE_JUMP(7);
     }
     RETIRE(10);
   }
@@ -963,8 +1040,8 @@ top:
     RETIRE(15);
   }
   UOP(IxJp) {
-    r.pc = (u.a & 0x80) ? r.iy : r.ix;
-    RETIRE(6);
+    pc = (u.a & 0x80) ? r.iy : r.ix;
+    RETIRE_JUMP(6);
   }
   UOP(IxLdSp) {
     r.sp = (u.a & 0x80) ? r.iy : r.ix;
@@ -979,26 +1056,35 @@ slow_path:
   // Exact per-step execution for anything the fast path does not model
   // (page-edge fetches, EI/HALT/RETI, illegal opcodes). Ticks flush first
   // so the legacy step()'s immediate io_.tick lands in order; the counters
-  // sync around step() because it increments the members directly.
+  // sync around step() because it increments the members directly. step()
+  // may leave the PC and the mapping anywhere, so the next fetch translates.
   FLUSH_TICKS();
   cycles_ = cyc;
   instructions_ = icount;
   step();
-  cyc = cycles_;
+  cyc = tick_base = cycles_;
   icount = instructions_;
+  pc = r.pc;
   if (halted_ || iff_ || ei_delay_ || illegal_) return;
-  goto top;
+  goto translate;
 
 out:
+  r.pc = pc;
   cycles_ = cyc;
   instructions_ = icount;
   FLUSH_TICKS();
 
 #undef RETIRE
+#undef RETIRE_JUMP
+#undef ACCOUNT
 #undef FLUSH_TICKS
 #undef UOP
-#undef DISPATCH_NEXT
-#undef FETCH_DISPATCH_BODY
+#undef REDISPATCH
+#undef NEXT_SEQUENTIAL
+#undef NEXT_TRANSLATE
+#undef FETCH_SEQUENTIAL
+#undef FETCH_TRANSLATE
+#undef PPC
 }
 
 }  // namespace rmc::rabbit

@@ -27,45 +27,51 @@ Result<AesOnBoard> AesOnBoard::create(AesImpl impl, const std::string& source,
   AesOnBoard ab;
   ab.board_ = std::make_unique<rabbit::Board>();
 
+  rabbit::Image image;
+  // Per-implementation symbols: init, set_key, encrypt, then the key, input
+  // and output buffers.
+  std::array<const char*, 6> names{};
   if (impl == AesImpl::kHandAssembly) {
     auto out = rasm::assemble(source);
     if (!out.ok()) return out.status();
-    ab.image_ = std::move(out->image);
-    ab.fn_init_ = "aes_init";
-    ab.fn_set_key_ = "aes_set_key";
-    ab.fn_encrypt_ = "aes_encrypt";
-    ab.buf_key_ = "key_buf";
-    ab.buf_in_ = "in_buf";
-    ab.buf_out_ = "out_buf";
+    image = std::move(out->image);
+    names = {"aes_init", "aes_set_key", "aes_encrypt",
+             "key_buf",  "in_buf",      "out_buf"};
     // Size metric: code only (tables are computed into RAM at init; the
     // `ds` reservations emit zero bytes into root chunks but we exclude
     // data-segment chunks entirely).
-    for (const auto& chunk : ab.image_.chunks) {
+    for (const auto& chunk : image.chunks) {
       if (chunk.phys_addr < 0x6000) ab.image_bytes_ += chunk.bytes.size();
     }
   } else {
     auto out = dcc::compile(source, options);
     if (!out.ok()) return out.status();
-    ab.image_ = std::move(out->image);
-    ab.fn_init_ = "f_aes_init";
-    ab.fn_set_key_ = "f_aes_set_key";
-    ab.fn_encrypt_ = "f_aes_encrypt";
-    ab.buf_key_ = "g_aes_key";
-    ab.buf_in_ = "g_aes_in";
-    ab.buf_out_ = "g_aes_out";
+    image = std::move(out->image);
+    names = {"f_aes_init", "f_aes_set_key", "f_aes_encrypt",
+             "g_aes_key",  "g_aes_in",      "g_aes_out"};
     ab.image_bytes_ = out->code_bytes;
   }
 
-  ab.board_->load(ab.image_);
-  if (pre_init) pre_init(*ab.board_, ab.image_);
-  auto init = ab.board_->call(ab.fn_init_, 500'000'000);
-  if (!init.ok()) return init.status();
-  if (init->stop != rabbit::StopReason::kHalted) {
-    return Status(ErrorCode::kInternal,
-                  "aes_init did not complete: " +
-                      ab.board_->cpu().illegal_message());
+  std::array<common::u16, 6> addr{};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    common::u32 a = 0;
+    if (!image.find_symbol(names[i], a)) {
+      return Status(ErrorCode::kNotFound,
+                    std::string("missing symbol: ") + names[i]);
+    }
+    addr[i] = static_cast<common::u16>(a);
   }
-  ab.init_cycles_ = init->cycles;
+  ab.fn_set_key_ = addr[1];
+  ab.fn_encrypt_ = addr[2];
+  ab.buf_key_ = addr[3];
+  ab.buf_in_ = addr[4];
+  ab.buf_out_ = addr[5];
+
+  ab.board_->load(image);
+  if (pre_init) pre_init(*ab.board_, image);
+  auto init = ab.call(addr[0], "aes_init");
+  if (!init.ok()) return init.status();
+  ab.init_cycles_ = *init;
   return ab;
 }
 
@@ -80,58 +86,45 @@ Result<AesOnBoard> AesOnBoard::create_from_repo(
   return create(impl, *source, options, pre_init);
 }
 
-Status AesOnBoard::write_buffer(const std::string& symbol,
-                                std::span<const u8> data) {
-  common::u32 addr = 0;
-  if (!image_.find_symbol(symbol, addr)) {
-    return Status(ErrorCode::kNotFound, "missing symbol: " + symbol);
-  }
+void AesOnBoard::write_buffer(common::u16 addr, std::span<const u8> data) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     board_->mem().write(static_cast<common::u16>(addr + i), data[i]);
   }
-  return Status::ok();
 }
 
-Status AesOnBoard::read_buffer(const std::string& symbol,
-                               std::span<u8> data) {
-  common::u32 addr = 0;
-  if (!image_.find_symbol(symbol, addr)) {
-    return Status(ErrorCode::kNotFound, "missing symbol: " + symbol);
-  }
+void AesOnBoard::read_buffer(common::u16 addr, std::span<u8> data) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = board_->mem().read(static_cast<common::u16>(addr + i));
   }
-  return Status::ok();
+}
+
+Result<u64> AesOnBoard::call(common::u16 addr, const char* what) {
+  const rabbit::CallResult res = board_->call(addr, 500'000'000);
+  if (res.stop != rabbit::StopReason::kHalted) {
+    return Status(ErrorCode::kInternal,
+                  std::string(what) + " did not complete: " +
+                      board_->cpu().illegal_message());
+  }
+  return res.cycles;
 }
 
 Result<u64> AesOnBoard::set_key(std::span<const u8> key) {
   if (key.size() != 16) {
     return Status(ErrorCode::kInvalidArgument, "key must be 16 bytes");
   }
-  Status s = write_buffer(buf_key_, key);
-  if (!s.is_ok()) return s;
-  auto res = board_->call(fn_set_key_, 500'000'000);
-  if (!res.ok()) return res.status();
-  if (res->stop != rabbit::StopReason::kHalted) {
-    return Status(ErrorCode::kInternal, "set_key did not complete");
-  }
-  return res->cycles;
+  write_buffer(buf_key_, key);
+  return call(fn_set_key_, "set_key");
 }
 
 Result<u64> AesOnBoard::encrypt(std::span<const u8> in, std::span<u8> out) {
   if (in.size() != 16 || out.size() != 16) {
     return Status(ErrorCode::kInvalidArgument, "block must be 16 bytes");
   }
-  Status s = write_buffer(buf_in_, in);
-  if (!s.is_ok()) return s;
-  auto res = board_->call(fn_encrypt_, 500'000'000);
-  if (!res.ok()) return res.status();
-  if (res->stop != rabbit::StopReason::kHalted) {
-    return Status(ErrorCode::kInternal, "encrypt did not complete");
-  }
-  s = read_buffer(buf_out_, out);
-  if (!s.is_ok()) return s;
-  return res->cycles;
+  write_buffer(buf_in_, in);
+  auto cycles = call(fn_encrypt_, "encrypt");
+  if (!cycles.ok()) return cycles;
+  read_buffer(buf_out_, out);
+  return cycles;
 }
 
 }  // namespace rmc::services

@@ -36,9 +36,10 @@ class AesOnBoard {
   /// attach to the CPU so that *every* cycle (init included) is attributed.
   using BoardHook = std::function<void(rabbit::Board&, const rabbit::Image&)>;
 
-  /// Loads and initializes (runs aes_init + symbol resolution). `source` is
-  /// the full text of the .asm or .dc file. For kHandAssembly the options
-  /// are ignored.
+  /// Loads and initializes: resolves the image's six entry points and
+  /// buffers once (a missing one fails with kNotFound), then runs aes_init.
+  /// `source` is the full text of the .asm or .dc file. For kHandAssembly
+  /// the options are ignored.
   static common::Result<AesOnBoard> create(
       AesImpl impl, const std::string& source,
       const dcc::CodegenOptions& options = {},
@@ -71,15 +72,16 @@ class AesOnBoard {
  private:
   AesOnBoard() = default;
 
-  common::Status write_buffer(const std::string& symbol,
-                              std::span<const u8> data);
-  common::Status read_buffer(const std::string& symbol, std::span<u8> data);
+  void write_buffer(common::u16 addr, std::span<const u8> data);
+  void read_buffer(common::u16 addr, std::span<u8> data);
+  /// Call the routine at `addr`; a stop other than HALT at the sentinel
+  /// fails with kInternal naming `what`.
+  common::Result<u64> call(common::u16 addr, const char* what);
 
   std::unique_ptr<rabbit::Board> board_;
-  rabbit::Image image_;
-  // Per-implementation symbol names.
-  std::string fn_init_, fn_set_key_, fn_encrypt_;
-  std::string buf_key_, buf_in_, buf_out_;
+  // Logical addresses of the entry points and buffers, resolved in create().
+  common::u16 fn_set_key_ = 0, fn_encrypt_ = 0;
+  common::u16 buf_key_ = 0, buf_in_ = 0, buf_out_ = 0;
   std::size_t image_bytes_ = 0;
   u64 init_cycles_ = 0;
 };

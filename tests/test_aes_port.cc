@@ -6,13 +6,21 @@
 // against the host C++ reference (itself pinned by FIPS-197 vectors in
 // test_crypto.cc). Three independently-written implementations must agree
 // byte-for-byte, which pins the CPU simulator, assembler, and compiler in
-// one shot. Also asserts the performance *ordering* the paper reports.
+// one shot. Also asserts the performance *ordering* the paper reports, and
+// runs every real image (the hand assembly and six dcc builds) under both
+// dispatch modes, with and without a CycleProfiler attached.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/prng.h"
 #include "crypto/aes.h"
 #include "services/aes_port.h"
+#include "telemetry/profiler.h"
 
 namespace rmc::services {
 namespace {
@@ -157,6 +165,27 @@ TEST(AesPort, ImageSizesReported) {
   EXPECT_GT(compiled.image_bytes(), 200u);
 }
 
+// create() resolves every entry point and buffer up front, so an image
+// without aes_encrypt fails there rather than on the first block.
+TEST(AesPort, MissingSymbolFailsCreate) {
+  const std::string source = R"(
+        org 65c0h
+key_buf: ds 16
+in_buf:  ds 16
+out_buf: ds 16
+        org 0100h
+aes_init:
+        ret
+aes_set_key:
+        ret
+)";
+  auto ab = AesOnBoard::create(AesImpl::kHandAssembly, source);
+  ASSERT_FALSE(ab.ok());
+  EXPECT_EQ(ab.status().code(), common::ErrorCode::kNotFound);
+  EXPECT_NE(ab.status().to_string().find("aes_encrypt"), std::string::npos)
+      << ab.status().to_string();
+}
+
 TEST(AesPort, ErrorsOnBadBufferSizes) {
   auto hand = make(AesImpl::kHandAssembly);
   std::array<u8, 8> short_key{};
@@ -165,6 +194,144 @@ TEST(AesPort, ErrorsOnBadBufferSizes) {
   std::array<u8, 8> out{};
   EXPECT_FALSE(hand.encrypt(in, out).ok());
 }
+
+// ---------------------------------------------------------------------------
+// The real images under both dispatch modes
+// ---------------------------------------------------------------------------
+
+struct ImageCase {
+  const char* name;
+  AesImpl impl;
+  dcc::CodegenOptions opts;
+};
+
+// The hand assembly, E1's debug C port and E2's five dcc settings.
+std::vector<ImageCase> image_cases() {
+  const dcc::CodegenOptions base = dcc::CodegenOptions::debug_defaults();
+  dcc::CodegenOptions root = base;
+  root.xmem_tables = false;
+  dcc::CodegenOptions unroll = base;
+  unroll.unroll_loops = true;
+  dcc::CodegenOptions nodebug = base;
+  nodebug.debug_hooks = false;
+  dcc::CodegenOptions fold = base;
+  fold.fold_constants = true;
+  fold.peephole = true;
+  return {{"hand_assembly", AesImpl::kHandAssembly, {}},
+          {"c_debug", AesImpl::kCompiledC, base},
+          {"root_memory", AesImpl::kCompiledC, root},
+          {"unroll", AesImpl::kCompiledC, unroll},
+          {"nodebug", AesImpl::kCompiledC, nodebug},
+          {"fold_peephole", AesImpl::kCompiledC, fold},
+          {"all", AesImpl::kCompiledC,
+           dcc::CodegenOptions::all_optimizations()}};
+}
+
+/// Per-region {cycles, steps} of one profiler phase, keyed by region name.
+using PhaseProfile = std::map<std::string, std::pair<u64, u64>>;
+
+struct ImageRun {
+  std::vector<std::string> ciphertexts;
+  u64 cycles = 0;
+  u64 instructions = 0;
+  u64 debug_traps = 0;
+  PhaseProfile keyexp;
+  PhaseProfile encrypt;
+};
+
+PhaseProfile phase_profile(const telemetry::CycleProfiler& prof,
+                           const std::string& phase) {
+  PhaseProfile out;
+  for (const telemetry::ProfileEntry& e : prof.flat(phase)) {
+    out[e.name] = {e.cycles, e.steps};
+  }
+  return out;
+}
+
+/// Three seeded keys, three blocks each, on one board running `mode`, with
+/// `prof` (if any) attached before aes_init and switched between a key
+/// expansion and an encryption phase as in E2. Every ciphertext is checked
+/// against the host AES.
+ImageRun run_image(const ImageCase& c, rabbit::DispatchMode mode,
+                   telemetry::CycleProfiler* prof) {
+  ImageRun run;
+  auto aes = AesOnBoard::create_from_repo(
+      c.impl, RMC_REPO_ROOT, c.opts,
+      [&](rabbit::Board& b, const rabbit::Image& img) {
+        b.cpu().set_dispatch(mode);
+        if (prof != nullptr) prof->attach(b.cpu(), img);
+      });
+  EXPECT_TRUE(aes.ok()) << aes.status().to_string();
+  if (!aes.ok()) return run;
+  common::Xorshift64 rng(2003);
+  for (int k = 0; k < 3; ++k) {
+    std::array<u8, 16> key{};
+    rng.fill(key);
+    auto host = crypto::Aes::create(key);
+    EXPECT_TRUE(host.ok());
+    if (prof != nullptr) prof->set_phase("keyexp");
+    EXPECT_TRUE(aes->set_key(key).ok());
+    if (prof != nullptr) prof->set_phase("encrypt");
+    for (int i = 0; i < 3; ++i) {
+      std::array<u8, 16> pt{}, ct{}, host_ct{};
+      rng.fill(pt);
+      EXPECT_TRUE(aes->encrypt(pt, ct).ok());
+      host->encrypt_block(pt, host_ct);
+      EXPECT_EQ(to_hex(ct), to_hex(host_ct)) << "key " << k << " block " << i;
+      run.ciphertexts.push_back(to_hex(ct));
+    }
+  }
+  const rabbit::Cpu& cpu = aes->board().cpu();
+  run.cycles = cpu.cycles();
+  run.instructions = cpu.instructions_retired();
+  run.debug_traps = cpu.debug_traps();
+  if (prof != nullptr) {
+    EXPECT_EQ(prof->total_cycles(), run.cycles);
+    run.keyexp = phase_profile(*prof, "keyexp");
+    run.encrypt = phase_profile(*prof, "encrypt");
+  }
+  return run;
+}
+
+void expect_same_run(const ImageRun& fast, const ImageRun& legacy) {
+  EXPECT_EQ(fast.ciphertexts, legacy.ciphertexts);
+  EXPECT_EQ(fast.cycles, legacy.cycles);
+  EXPECT_EQ(fast.instructions, legacy.instructions);
+  EXPECT_EQ(fast.debug_traps, legacy.debug_traps);
+  EXPECT_EQ(fast.keyexp, legacy.keyexp);
+  EXPECT_EQ(fast.encrypt, legacy.encrypt);
+}
+
+class ImageDispatch : public ::testing::TestWithParam<ImageCase> {};
+
+// The unobserved fast loop against the legacy step().
+TEST_P(ImageDispatch, FastMatchesLegacy) {
+  const ImageRun fast = run_image(GetParam(), rabbit::DispatchMode::kFast,
+                                  nullptr);
+  const ImageRun legacy = run_image(GetParam(),
+                                    rabbit::DispatchMode::kLegacy, nullptr);
+  EXPECT_EQ(fast.ciphertexts.size(), 9u);
+  expect_same_run(fast, legacy);
+}
+
+// The observed fast loop (StepSink attribution) against the legacy step():
+// identical per-region cycle and step totals in both phases.
+TEST_P(ImageDispatch, ProfiledFastMatchesLegacy) {
+  telemetry::CycleProfiler fast_prof, legacy_prof;
+  const ImageRun fast = run_image(GetParam(), rabbit::DispatchMode::kFast,
+                                  &fast_prof);
+  const ImageRun legacy = run_image(GetParam(),
+                                    rabbit::DispatchMode::kLegacy,
+                                    &legacy_prof);
+  EXPECT_FALSE(fast.encrypt.empty());
+  expect_same_run(fast, legacy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealImages, ImageDispatch, ::testing::ValuesIn(image_cases()),
+    [](const ::testing::TestParamInfo<ImageCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace rmc::services

@@ -1,13 +1,17 @@
 // Fast-dispatch interpreter tests: fast-vs-legacy equivalence, the
 // predecoded-cache coherence protocol (self-modifying code, targeted
 // invalidation), the logical-address-space wrap and XPC-window fetch edge
-// cases pinned for both dispatch modes, and the zero-breakpoint hot-loop
-// regression.
+// cases pinned for both dispatch modes, the zero-breakpoint hot-loop
+// regression, every trigger that makes the fast loop translate its PC
+// again instead of fetching the next slot (bank switches, the page edge and
+// the step() hand-off), and a seeded random-program differential.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <initializer_list>
 #include <vector>
 
+#include "common/prng.h"
 #include "rabbit/cpu.h"
 #include "rabbit/memory.h"
 
@@ -136,14 +140,38 @@ std::vector<u8> mixed_program() {
   };
 }
 
+/// FNV-1a over all 1 MiB, eight bytes a step.
 u64 mem_digest(const Memory& m) {
   u64 h = 1469598103934665603ULL;
   const u8* p = m.raw_phys();
-  for (u32 i = 0; i < Memory::kPhysSize; ++i) {
-    h ^= p[i];
+  for (u32 i = 0; i < Memory::kPhysSize; i += 8) {
+    u64 word;
+    std::memcpy(&word, p + i, sizeof word);
+    h ^= word;
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// Everything the two dispatch modes must agree on after a run: every
+/// register (alternate set included), XPC, the counters, the halt and
+/// interrupt state, dropped flash stores and a digest of all 1 MiB.
+std::vector<u64> machine_state(const BareMachine& m) {
+  const Registers& r = m.cpu.regs();
+  return {r.a,  r.f,  r.b,  r.c,  r.d,  r.e,  r.h,  r.l,
+          r.a2, r.f2, r.b2, r.c2, r.d2, r.e2, r.h2, r.l2,
+          r.ix, r.iy, r.sp, r.pc, m.mem.xpc(),
+          m.cpu.cycles(), m.cpu.instructions_retired(),
+          m.cpu.debug_traps(), m.cpu.halted(), m.cpu.iff(),
+          m.mem.flash_write_faults(), mem_digest(m.mem)};
+}
+
+/// Runs both machines to the same budget and expects the same stop reason
+/// and the same final state.
+void run_both(BareMachine& fast, BareMachine& legacy, u64 budget) {
+  EXPECT_EQ(fast.cpu.run(budget), legacy.cpu.run(budget));
+  EXPECT_EQ(fast.cpu.illegal_message(), legacy.cpu.illegal_message());
+  EXPECT_EQ(machine_state(fast), machine_state(legacy));
 }
 
 TEST(FastDispatch, MatchesLegacyOnMixedProgram) {
@@ -151,23 +179,8 @@ TEST(FastDispatch, MatchesLegacyOnMixedProgram) {
   BareMachine legacy(DispatchMode::kLegacy);
   fast.load(mixed_program());
   legacy.load(mixed_program());
-  EXPECT_EQ(fast.cpu.run(100000), StopReason::kHalted);
-  EXPECT_EQ(legacy.cpu.run(100000), StopReason::kHalted);
-
-  const Registers& a = fast.cpu.regs();
-  const Registers& b = legacy.cpu.regs();
-  EXPECT_EQ(a.af(), b.af());
-  EXPECT_EQ(a.bc(), b.bc());
-  EXPECT_EQ(a.de(), b.de());
-  EXPECT_EQ(a.hl(), b.hl());
-  EXPECT_EQ(a.ix, b.ix);
-  EXPECT_EQ(a.iy, b.iy);
-  EXPECT_EQ(a.sp, b.sp);
-  EXPECT_EQ(a.pc, b.pc);
-  EXPECT_EQ(fast.cpu.cycles(), legacy.cpu.cycles());
-  EXPECT_EQ(fast.cpu.instructions_retired(),
-            legacy.cpu.instructions_retired());
-  EXPECT_EQ(mem_digest(fast.mem), mem_digest(legacy.mem));
+  run_both(fast, legacy, 100000);
+  EXPECT_TRUE(fast.cpu.halted());
 }
 
 // Satellite regression: with zero breakpoints registered, a 1M-cycle run
@@ -236,6 +249,202 @@ TEST(FastDispatch, StoreIntoCachedImmediateInvalidates) {
   m.cpu.regs().pc = 0x0100;
   EXPECT_EQ(m.cpu.run(100000), StopReason::kHalted);
   EXPECT_EQ(m.cpu.regs().a, 0x22);
+}
+
+// A store into the slot right after the executing instruction, once that
+// slot holds a decoding: the sequential fetch must see the invalidation.
+// Pass 1 stores a NOP over the NOP at 0x0107 and decodes it; pass 2 stores
+// INC C there. A stale slot would leave C == 0.
+TEST(FastDispatch, StoreIntoNextSlotReDecodes) {
+  const std::vector<u8> code = {
+      0x3E, 0x00,        // 0x0100: LD A,0x00    (pass-1 value: NOP)
+      0x06, 0x02,        // 0x0102: LD B,2
+      0x32, 0x07, 0x01,  // 0x0104: LD (0x0107),A
+      0x00,              // 0x0107: NOP          <- INC C on pass 2
+      0x3E, 0x0C,        // 0x0108: LD A,0x0C    (INC C opcode)
+      0x10, 0xF8,        // 0x010A: DJNZ -8 (back to 0x0104)
+      0x76,              // 0x010C: HALT
+  };
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  fast.load(code);
+  legacy.load(code);
+  run_both(fast, legacy, 100000);
+  EXPECT_EQ(fast.cpu.regs().c, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Translation triggers: after these the fast loop must look the PC up again
+// rather than fetch the next slot of the current decode page.
+// ---------------------------------------------------------------------------
+
+// Code in the XPC window, with XPC 0x10 (old bank, phys 0x1E000+) and
+// XPC 0x20 (new bank, phys 0x2E000+) both mapping logical 0xE000.
+constexpr u32 kOldBank = 0x10000;
+constexpr u32 kNewBank = 0x20000;
+
+void start_in_window(BareMachine& m, u16 pc) {
+  m.mem.set_xpc(kOldBank >> 12);
+  m.cpu.regs().pc = pc;
+}
+
+// LD XPC,A executed inside the window: the next instruction's logical
+// address is the fall-through, but it now lives in the new bank.
+TEST(TranslateTrigger, LdXpcInWindowFetchesFromNewBank) {
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  for (BareMachine* m : {&fast, &legacy}) {
+    m->load({0x3E, 0x20,         // 0xE100: LD A,0x20
+             0xED, 0x67},        // 0xE102: LD XPC,A
+            kOldBank + 0xE100);
+    m->load({0x3E, 0x11, 0x76}, kOldBank + 0xE104);  // LD A,0x11; HALT
+    m->load({0x3E, 0x22, 0x76}, kNewBank + 0xE104);  // LD A,0x22; HALT
+    start_in_window(*m, 0xE100);
+  }
+  run_both(fast, legacy, 100000);
+  EXPECT_EQ(fast.cpu.regs().a, 0x22);
+  EXPECT_EQ(fast.mem.xpc(), kNewBank >> 12);
+}
+
+// LJP to its own fall-through address in another bank.
+TEST(TranslateTrigger, LjpToFallThroughInOtherBank) {
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  for (BareMachine* m : {&fast, &legacy}) {
+    m->load({0xED, 0xC3, 0x05, 0xE1, kNewBank >> 12},  // 0xE100: LJP 0xE105
+            kOldBank + 0xE100);
+    m->load({0x3E, 0x11, 0x76}, kOldBank + 0xE105);  // LD A,0x11; HALT
+    m->load({0x3E, 0x22, 0x76}, kNewBank + 0xE105);  // LD A,0x22; HALT
+    start_in_window(*m, 0xE100);
+  }
+  run_both(fast, legacy, 100000);
+  EXPECT_EQ(fast.cpu.regs().a, 0x22);
+}
+
+// LCALL to its own fall-through address in another bank, and an LRET back
+// to the same logical address in the old bank: both land where the next
+// slot of their own page would not.
+TEST(TranslateTrigger, LcallAndLretToFallThroughInOtherBank) {
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  for (BareMachine* m : {&fast, &legacy}) {
+    m->load({0xED, 0xCD, 0x05, 0xE1, kNewBank >> 12,  // 0xE100: LCALL 0xE105
+             0x0E, 0x44,                              // 0xE105: LD C,0x44
+             0x76},                                   // 0xE107: HALT
+            kOldBank + 0xE100);
+    m->load({0x3E, 0x22,   // 0xE105: LD A,0x22
+             0xED, 0xC9,   // 0xE107: LRET
+             0x0E, 0x99,   // 0xE109: LD C,0x99 (only if LRET fell through)
+             0x76},        // 0xE10B: HALT
+            kNewBank + 0xE105);
+    start_in_window(*m, 0xE100);
+  }
+  run_both(fast, legacy, 100000);
+  EXPECT_EQ(fast.cpu.regs().a, 0x22);
+  EXPECT_EQ(fast.cpu.regs().c, 0x44);
+  EXPECT_EQ(fast.mem.xpc(), kOldBank >> 12);
+}
+
+// Straight-line code runs into the page-edge slots (offsets 0xFFC-0xFFF,
+// never cached) and on across the root -> data-segment boundary. With the
+// board's DATASEG 0x7A, logical 0x6000 maps to phys 0x80000, not 0x06000:
+// LD BC,nn at 0x5FFE takes its high byte from there, and the instruction
+// after it must be fetched there too, through the slow-path hand-off and
+// the translation that follows it.
+TEST(TranslateTrigger, PageEdgeIntoRemappedDataSegment) {
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  for (BareMachine* m : {&fast, &legacy}) {
+    m->mem.set_dataseg(0x7A);
+    m->load({0x00, 0x00, 0x00, 0x00,  // 0x5FF0: NOPs
+             0x00, 0x00, 0x00, 0x00,
+             0x3E, 0x05,              // 0x5FF8: LD A,5
+             0x3C,                    // 0x5FFA: INC A
+             0x3C,                    // 0x5FFB: INC A (last cached offset)
+             0x3C,                    // 0x5FFC: INC A (edge slot)
+             0x3C,                    // 0x5FFD: INC A (edge slot)
+             0x01, 0x77},             // 0x5FFE: LD BC,0x??77
+            0x05FF0);
+    m->load({0x80,                    // 0x6000: high byte of LD BC
+             0x16, 0x22,              // 0x6001: LD D,0x22
+             0x76},                   // 0x6003: HALT
+            0x80000);
+    // What an identity-mapped 0x6000 would hold instead.
+    m->load({0x60, 0x16, 0x11, 0x76}, 0x06000);
+    m->cpu.regs().pc = 0x5FF0;
+  }
+  run_both(fast, legacy, 100000);
+  EXPECT_TRUE(fast.cpu.halted());
+  EXPECT_EQ(fast.cpu.regs().a, 9);
+  EXPECT_EQ(fast.cpu.regs().bc(), 0x8077);
+  EXPECT_EQ(fast.cpu.regs().d, 0x22);
+}
+
+// A jump in the edge slots whose target's high byte lies across the same
+// boundary: the target depends on which physical byte 0x6000 reads, and the
+// jump leaves the page by translating, never by running off it.
+TEST(TranslateTrigger, PageEdgeJumpReadsRemappedOperand) {
+  BareMachine fast(DispatchMode::kFast);
+  BareMachine legacy(DispatchMode::kLegacy);
+  for (BareMachine* m : {&fast, &legacy}) {
+    m->mem.set_dataseg(0x7A);
+    m->load({0x00, 0x00, 0x00, 0x00,  // 0x5FF8: NOPs
+             0x00, 0x00,
+             0xC3, 0x10},             // 0x5FFE: JP 0x??10
+            0x05FF8);
+    m->load({0x70}, 0x80000);         // 0x6000 as mapped: JP 0x7010
+    m->load({0x60}, 0x06000);         // identity-mapped 0x6000: JP 0x6010
+    m->load({0x1E, 0x22, 0x76}, 0x81010);  // 0x7010: LD E,0x22; HALT
+    m->load({0x1E, 0x11, 0x76}, 0x80010);  // 0x6010: LD E,0x11; HALT
+    m->cpu.regs().pc = 0x5FF8;
+  }
+  run_both(fast, legacy, 100000);
+  EXPECT_TRUE(fast.cpu.halted());
+  EXPECT_EQ(fast.cpu.regs().e, 0x22);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded random programs, fast vs legacy
+// ---------------------------------------------------------------------------
+
+// All 1 MiB random (EI excluded, so the fast loop is not left at once),
+// random segment registers, a start in root or in the XPC window: every
+// opcode family, stores into code, bank switches and page edges come up
+// somewhere. The targeted tests above stay: a random program rarely hits a
+// given trigger with distinguishable bytes on both sides.
+TEST(FastDispatch, RandomProgramsMatchLegacy) {
+  constexpr u64 kSeeds = 300;
+  constexpr u64 kBudget = 20000;
+  std::vector<u8> image(Memory::kPhysSize);
+  u64 fast_instructions = 0;
+  for (u64 seed = 1; seed <= kSeeds; ++seed) {
+    common::Xorshift64 rng(seed);
+    rng.fill(image);
+    for (u8& b : image) {
+      if (b == 0xFB) b = 0x00;  // EI
+    }
+    const u8 xpc = rng.next_u8();
+    const u8 dataseg = rng.next_u8();
+    const u8 stackseg = rng.next_u8();
+    const u16 pc = rng.chance(0.5)
+                       ? static_cast<u16>(rng.next_below(0x6000))
+                       : static_cast<u16>(0xE000 + rng.next_below(0x2000));
+    BareMachine fast(DispatchMode::kFast);
+    BareMachine legacy(DispatchMode::kLegacy);
+    for (BareMachine* m : {&fast, &legacy}) {
+      m->mem.load(0, image);
+      m->mem.set_xpc(xpc);
+      m->mem.set_dataseg(dataseg);
+      m->mem.set_stackseg(stackseg);
+      m->cpu.regs().pc = pc;
+    }
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    run_both(fast, legacy, kBudget);
+    fast_instructions += fast.cpu.instructions_retired();
+  }
+  // Not vacuous: the programs run for a while before HALT or an illegal
+  // opcode stops them.
+  EXPECT_GT(fast_instructions, kSeeds * 20);
 }
 
 }  // namespace
