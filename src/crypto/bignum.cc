@@ -7,6 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+// The Montgomery kernel multiplies 64-bit words into 128-bit products.
+#if !defined(__SIZEOF_INT128__)
+#error "BigNum::modexp needs unsigned __int128 (GCC or Clang, 64-bit host)"
+#endif
+
 namespace rmc::crypto {
 
 using common::ErrorCode;
@@ -14,6 +19,7 @@ using common::Result;
 using common::Status;
 using common::u32;
 using common::u64;
+using u128 = unsigned __int128;
 
 namespace {
 
@@ -109,61 +115,132 @@ void knuth_divide(std::span<const u32> u, std::span<const u32> v,
   }
 }
 
-// -m[0]^-1 mod 2^32 by Newton iteration (m[0] odd): each step doubles the
-// number of correct low bits, and x = m0 is already right to three.
-u32 montgomery_m0inv(u32 m0) {
-  u32 x = m0;
-  for (int i = 0; i < 4; ++i) x *= 2 - m0 * x;
-  return 0u - x;
+// Exponents of up to this many bits take the binary ladder; longer ones
+// scan fixed 4-bit windows. The window table costs 14 products up front and
+// saves about a quarter of a product per bit (the ladder multiplies on half
+// the bits, the windows on 15 of every 16 four-bit windows), so it pays
+// from about 53 bits of a random exponent on; the cut sits at one word.
+// RSA's public exponent 65537 stays on the ladder; the CRT halves' dP and
+// dQ and Miller-Rabin's d take the windows.
+constexpr std::size_t kLadderMaxBits = 64;
+
+// -m0^-1 mod 2^64 by Newton iteration (m0 odd): x = m0 is right to three
+// low bits and each step doubles that, so five steps reach all 64.
+u64 montgomery_m0inv(u64 m0) {
+  u64 x = m0;
+  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
+  return 0 - x;
 }
 
-// out = a * b * 2^(-32n) mod m by coarsely integrated operand scanning
-// (CIOS). a, b < m; t is n + 2 limbs of scratch; out may alias a or b.
-void montgomery_mul(const u32* a, const u32* b, const u32* m, std::size_t n,
-                    u32 m0inv, u32* t, u32* out) {
-  std::fill(t, t + n + 2, 0u);
+// An odd modulus of n 64-bit words, R = 2^(64n).
+struct Montgomery {
+  const u64* m;
+  std::size_t n;
+  u64 m0inv;  // -m^-1 mod 2^64
+  u64* t;     // n + 2 words of accumulator for the runtime-length kernel
+};
+
+// out = a * b * R^-1 mod m by coarsely integrated operand scanning (CIOS)
+// over 64-bit words. a, b < m; out may alias a or b. One body serves every
+// size: for N in 1..8 the word count is a constant, the loops unroll and
+// the accumulator lives in locals; N = 0 reads the count from `mt` and
+// accumulates in its scratch, so the modulus has no size cap.
+template <std::size_t N>
+void montgomery_mul(const Montgomery& mt, const u64* a, const u64* b,
+                    u64* out) {
+  const std::size_t n = N != 0 ? N : mt.n;
+  u64 local[N + 2] = {};
+  u64* t = N != 0 ? local : mt.t;
+  std::fill(t, t + n + 2, u64{0});
+#pragma GCC unroll 8
   for (std::size_t i = 0; i < n; ++i) {
     u64 c = 0;
+#pragma GCC unroll 8
     for (std::size_t j = 0; j < n; ++j) {
-      const u64 s = static_cast<u64>(a[j]) * b[i] + t[j] + c;
-      t[j] = static_cast<u32>(s);
-      c = s >> 32;
+      const u128 s = static_cast<u128>(a[j]) * b[i] + t[j] + c;
+      t[j] = static_cast<u64>(s);
+      c = static_cast<u64>(s >> 64);
     }
-    u64 s = static_cast<u64>(t[n]) + c;
-    t[n] = static_cast<u32>(s);
-    t[n + 1] = static_cast<u32>(s >> 32);
-    // Add the multiple of m that zeroes t[0], then drop that limb.
-    const u32 k = t[0] * m0inv;
-    c = (static_cast<u64>(k) * m[0] + t[0]) >> 32;
+    u128 s = static_cast<u128>(t[n]) + c;
+    t[n] = static_cast<u64>(s);
+    t[n + 1] = static_cast<u64>(s >> 64);
+    // Add the multiple of m that zeroes t[0], then drop that word.
+    const u64 k = t[0] * mt.m0inv;
+    c = static_cast<u64>((static_cast<u128>(k) * mt.m[0] + t[0]) >> 64);
+#pragma GCC unroll 8
     for (std::size_t j = 1; j < n; ++j) {
-      s = static_cast<u64>(k) * m[j] + t[j] + c;
-      t[j - 1] = static_cast<u32>(s);
-      c = s >> 32;
+      s = static_cast<u128>(k) * mt.m[j] + t[j] + c;
+      t[j - 1] = static_cast<u64>(s);
+      c = static_cast<u64>(s >> 64);
     }
-    s = static_cast<u64>(t[n]) + c;
-    t[n - 1] = static_cast<u32>(s);
-    t[n] = t[n + 1] + static_cast<u32>(s >> 32);
+    s = static_cast<u128>(t[n]) + c;
+    t[n - 1] = static_cast<u64>(s);
+    t[n] = t[n + 1] + static_cast<u64>(s >> 64);
   }
-  // t < 2m: one conditional subtraction brings it below m.
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
+  // t < 2m: out = t - m, unless that borrows past the carry word t[n].
+  // The select is a mask, not a branch the predictor would miss.
+  u64 borrow = 0;
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - mt.m[j] - borrow;
+    out[j] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 127);
+  }
+  const u64 keep = 0 - static_cast<u64>(borrow > t[n]);  // t < m: keep t
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = (out[j] & ~keep) | (t[j] & keep);
+  }
+}
+
+// x = base^e mod m for e != 0. On entry pow[0, n) holds base mod m and k
+// holds R^2 mod m; pow has room for 15 powers when e is longer than
+// kLadderMaxBits.
+template <std::size_t N>
+void montgomery_power(const Montgomery& mt, const BigNum& e, u64* x, u64* k,
+                      u64* pow) {
+  const std::size_t n = N != 0 ? N : mt.n;
+  const std::size_t bits = e.bit_length();
+  montgomery_mul<N>(mt, pow, k, pow);  // base * R mod m
+  if (bits <= kLadderMaxBits) {
+    // Left to right from the top bit, which is set.
+    std::copy(pow, pow + n, x);
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      montgomery_mul<N>(mt, x, x, x);
+      if (e.bit(i)) montgomery_mul<N>(mt, x, pow, x);
+    }
+  } else {
+    // base^j * R mod m at pow + (j - 1) * n, for j = 1..15.
+    for (std::size_t j = 1; j < 15; ++j) {
+      montgomery_mul<N>(mt, pow + (j - 1) * n, pow, pow + j * n);
+    }
+    // Window w is exponent bits 4w..4w+3, which share one 32-bit limb.
+    const std::vector<u32>& limbs = e.limbs();
+    const auto window = [&limbs](std::size_t w) {
+      return (limbs[w / 8] >> (4 * (w % 8))) & 0xFu;
+    };
+    std::size_t w = (bits + 3) / 4 - 1;
+    const u32 top = window(w);
+    std::copy(pow + (top - 1) * n, pow + top * n, x);
+    while (w-- > 0) {
+      for (int s = 0; s < 4; ++s) montgomery_mul<N>(mt, x, x, x);
+      if (const u32 d = window(w)) {
+        montgomery_mul<N>(mt, x, pow + (d - 1) * n, x);
       }
     }
   }
-  if (ge) {
-    u64 borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const u64 d = static_cast<u64>(t[i]) - m[i] - borrow;
-      t[i] = static_cast<u32>(d);
-      borrow = d >> 63;
-    }
+  // Out of Montgomery form: one multiply by 1.
+  std::fill(k, k + n, u64{0});
+  k[0] = 1;
+  montgomery_mul<N>(mt, x, k, x);
+}
+
+// 32-bit limbs into 64-bit words, low limb first; an odd count leaves the
+// top word half-empty. `out` is zeroed.
+void pack_words(const std::vector<u32>& limbs, u64* out) {
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= static_cast<u64>(limbs[i]) << (32 * (i % 2));
   }
-  std::copy(t, t + n, out);
 }
 
 }  // namespace
@@ -381,33 +458,39 @@ BigNum BigNum::mod(const BigNum& m) const {
 BigNum BigNum::modexp(const BigNum& exponent, const BigNum& m) const {
   if (m.is_zero()) fail_stop("modexp by a zero modulus");
   if (!m.is_odd()) fail_stop("modexp needs an odd modulus (Montgomery form)");
-  const std::size_t n = m.limbs_.size();
-  const u32 m0inv = montgomery_m0inv(m.limbs_[0]);
-  // R = 2^(32n). One multiply by R^2 mod m moves a value into Montgomery
+  if (exponent.is_zero()) return BigNum(1).mod(m);
+  const std::size_t n = (m.limbs_.size() + 1) / 2;
+  const std::size_t powers = exponent.bit_length() > kLadderMaxBits ? 15 : 1;
+  // Every word buffer the scan touches, allocated once.
+  std::vector<u64> words((4 + powers) * n + 2, 0);
+  u64* mw = words.data();  // the modulus
+  u64* x = mw + n;         // the running result * R mod m
+  u64* k = x + n;          // R^2 mod m, then 1
+  u64* t = k + n;          // n + 2 words of accumulator
+  u64* pow = t + n + 2;    // base mod m, then its powers * R mod m
+  pack_words(m.limbs_, mw);
+  // R = 2^(64n). One multiply by R^2 mod m moves a value into Montgomery
   // form, one multiply by 1 moves it back out.
-  const BigNum base = mod(m);
-  const BigNum r2 = (BigNum(1) << (64 * n)).mod(m);
-  // Every limb buffer the ladder touches, allocated once.
-  std::vector<u32> scratch(4 * n + 2, 0);
-  u32* b = scratch.data();  // base, then base * R mod m
-  u32* x = b + n;           // 1, then the running result * R mod m
-  u32* k = x + n;           // R^2 mod m, then 1
-  u32* t = k + n;           // n + 2 limbs of product accumulator
-  std::copy(base.limbs_.begin(), base.limbs_.end(), b);
-  std::copy(r2.limbs_.begin(), r2.limbs_.end(), k);
-  x[0] = 1;
-  const u32* mod_limbs = m.limbs_.data();
-  montgomery_mul(b, k, mod_limbs, n, m0inv, t, b);
-  montgomery_mul(x, k, mod_limbs, n, m0inv, t, x);
-  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
-    montgomery_mul(x, x, mod_limbs, n, m0inv, t, x);
-    if (exponent.bit(i)) montgomery_mul(x, b, mod_limbs, n, m0inv, t, x);
+  pack_words((BigNum(1) << (128 * n)).mod(m).limbs_, k);
+  pack_words(mod(m).limbs_, pow);
+  const Montgomery mt{mw, n, montgomery_m0inv(mw[0]), t};
+  switch (n) {
+    case 1: montgomery_power<1>(mt, exponent, x, k, pow); break;
+    case 2: montgomery_power<2>(mt, exponent, x, k, pow); break;
+    case 3: montgomery_power<3>(mt, exponent, x, k, pow); break;
+    case 4: montgomery_power<4>(mt, exponent, x, k, pow); break;
+    case 5: montgomery_power<5>(mt, exponent, x, k, pow); break;
+    case 6: montgomery_power<6>(mt, exponent, x, k, pow); break;
+    case 7: montgomery_power<7>(mt, exponent, x, k, pow); break;
+    case 8: montgomery_power<8>(mt, exponent, x, k, pow); break;
+    default: montgomery_power<0>(mt, exponent, x, k, pow); break;
   }
-  std::fill(k, k + n, 0u);
-  k[0] = 1;
-  montgomery_mul(x, k, mod_limbs, n, m0inv, t, x);
   BigNum result;
-  result.limbs_.assign(x, x + n);
+  result.limbs_.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.limbs_[2 * i] = static_cast<u32>(x[i]);
+    result.limbs_[2 * i + 1] = static_cast<u32>(x[i] >> 32);
+  }
   result.trim();
   return result;
 }

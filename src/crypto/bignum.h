@@ -4,10 +4,14 @@
 // and so E6 can price what the port gave up.
 //
 // Representation: little-endian vector of 32-bit limbs, no leading zero
-// limbs (zero is an empty vector). Every kernel works a limb at a time:
-// schoolbook multiply, Knuth's algorithm D for division (with a one-limb
-// fast path), and Montgomery (CIOS) multiplication for modexp, whose
-// square-and-multiply ladder runs on one limb buffer allocated per call.
+// limbs (zero is an empty vector). Multiplication and division work a limb
+// at a time: schoolbook multiply and Knuth's algorithm D (with a one-limb
+// fast path). modexp packs limb pairs into 64-bit words and runs one
+// Montgomery (CIOS) kernel over them, compiled for each word count from 1
+// to 8 (moduli up to 512 bits, accumulator in registers) and once for a
+// run-time count with no size cap. Exponents up to 64 bits take the binary
+// ladder; longer ones scan fixed 4-bit windows over a 15-entry table. All
+// of it runs in one word buffer allocated per call.
 // Precondition violations (subtraction underflow, a zero or even modulus)
 // stop the program with a message in every build type.
 #pragma once

@@ -46,47 +46,6 @@ void Cpu::on_code_write(u32 phys) {
   for (u32 i = first; i <= off; ++i) p->ops[i] = Uop{};
 }
 
-u8 Cpu::rot_op(unsigned op, u8 v) {
-  u8 res = 0;
-  bool carry = false;
-  switch (op) {
-    case 0:  // RLC
-      carry = (v & 0x80) != 0;
-      res = static_cast<u8>((v << 1) | (carry ? 1 : 0));
-      break;
-    case 1:  // RRC
-      carry = (v & 0x01) != 0;
-      res = static_cast<u8>((v >> 1) | (carry ? 0x80 : 0));
-      break;
-    case 2:  // RL
-      carry = (v & 0x80) != 0;
-      res = static_cast<u8>((v << 1) | (flag(Flag::C) ? 1 : 0));
-      break;
-    case 3:  // RR
-      carry = (v & 0x01) != 0;
-      res = static_cast<u8>((v >> 1) | (flag(Flag::C) ? 0x80 : 0));
-      break;
-    case 4:  // SLA
-      carry = (v & 0x80) != 0;
-      res = static_cast<u8>(v << 1);
-      break;
-    case 5:  // SRA
-      carry = (v & 0x01) != 0;
-      res = static_cast<u8>((v >> 1) | (v & 0x80));
-      break;
-    case 7:  // SRL
-      carry = (v & 0x01) != 0;
-      res = static_cast<u8>(v >> 1);
-      break;
-    default:  // op 6 (SLL) is not provided by the Rabbit; callers reject it.
-      res = v;
-      break;
-  }
-  alu_logic(res, /*set_h=*/false);
-  set_flag(Flag::C, carry);
-  return res;
-}
-
 u8 Cpu::read_r(unsigned code) {
   switch (code) {
     case 0: return regs_.b;

@@ -375,8 +375,50 @@ class Cpu : public CodeWatch {
     return res;
   }
 
-  // Rotate/shift group (CB prefix).
-  u8 rot_op(unsigned op, u8 v);
+  // Rotate/shift group (CB prefix): op is the (op>>3)&7 field (RLC RRC RL
+  // RR SLA SRA - SRL); op 6 (SLL) is not provided by the Rabbit and callers
+  // reject it.
+  u8 rot_op(unsigned op, u8 v) {
+    u8 res = v;
+    bool carry = false;
+    switch (op) {
+      case 0:  // RLC
+        carry = (v & 0x80) != 0;
+        res = static_cast<u8>((v << 1) | (carry ? 1 : 0));
+        break;
+      case 1:  // RRC
+        carry = (v & 0x01) != 0;
+        res = static_cast<u8>((v >> 1) | (carry ? 0x80 : 0));
+        break;
+      case 2:  // RL
+        carry = (v & 0x80) != 0;
+        res = static_cast<u8>((v << 1) | (flag(Flag::C) ? 1 : 0));
+        break;
+      case 3:  // RR
+        carry = (v & 0x01) != 0;
+        res = static_cast<u8>((v >> 1) | (flag(Flag::C) ? 0x80 : 0));
+        break;
+      case 4:  // SLA
+        carry = (v & 0x80) != 0;
+        res = static_cast<u8>(v << 1);
+        break;
+      case 5:  // SRA
+        carry = (v & 0x01) != 0;
+        res = static_cast<u8>((v >> 1) | (v & 0x80));
+        break;
+      case 7:  // SRL
+        carry = (v & 0x01) != 0;
+        res = static_cast<u8>(v >> 1);
+        break;
+      default:
+        break;
+    }
+    u8 f = static_cast<u8>(regs_.f & Flag::kUnmodelled);
+    f |= szp(res);
+    if (carry) f |= Flag::C;
+    regs_.f = f;
+    return res;
+  }
 
   // Register-code decode (r = 0..7 -> B C D E H L (HL) A).
   u8 read_r(unsigned code);

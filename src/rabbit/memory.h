@@ -18,9 +18,10 @@
 // 4 KiB-aligned (SEGSIZE nibbles select 4K pages, the XPC window sits at
 // 0xE000), so the whole translation collapses to a 16-entry page->delta
 // table: phys = (logical + page_delta_[logical >> 12]) & 0xFFFFF. The table
-// is rebuilt on any SEGSIZE/DATASEG/STACKSEG/XPC write — that write *is* the
-// cache invalidation, so straight-line code pays one add+mask per access and
-// bank switches stay exact.
+// is rebuilt on any SEGSIZE/DATASEG/STACKSEG write, and an XPC write updates
+// the window's two entries — that write *is* the cache invalidation, so
+// straight-line code pays one add+mask per access and bank switches stay
+// exact.
 //
 // Physically, the RMC2000 kit has 512 KiB flash at 0x00000 and 128 KiB SRAM
 // at 0x80000. We model one flat megabyte but track the flash boundary: CPU
@@ -68,7 +69,14 @@ class Memory {
   void set_segsize(u8 v) { segsize_ = v; rebuild_page_map(); }
   void set_dataseg(u8 v) { dataseg_ = v; rebuild_page_map(); }
   void set_stackseg(u8 v) { stackseg_ = v; rebuild_page_map(); }
-  void set_xpc(u8 v) { xpc_ = v; rebuild_page_map(); }
+  /// The XPC window (pages 0xE and 0xF) maps through XPC whatever SEGSIZE
+  /// says, so an XPC write moves only those two deltas.
+  void set_xpc(u8 v) {
+    xpc_ = v;
+    const u32 delta = static_cast<u32>(v) << 12;
+    page_delta_[0xE] = delta;  // 0xE000..0xEFFF
+    page_delta_[0xF] = delta;  // 0xF000..0xFFFF
+  }
   u8 segsize() const { return segsize_; }
   u8 dataseg() const { return dataseg_; }
   u8 stackseg() const { return stackseg_; }

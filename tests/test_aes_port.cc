@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,6 +205,11 @@ struct ImageCase {
   AesImpl impl;
   dcc::CodegenOptions opts;
 };
+
+// gtest would print the case as its raw bytes (the name pointer and the
+// padding), which change from one process to the next and so renamed the
+// listed tests on every build.
+void PrintTo(const ImageCase& c, std::ostream* os) { *os << c.name; }
 
 // The hand assembly, E1's debug C port and E2's five dcc settings.
 std::vector<ImageCase> image_cases() {

@@ -606,6 +606,70 @@ TEST_P(BigNumDifferential, KernelsAgreeWithBitSerialReference) {
   }
 }
 
+// An odd modulus of `limbs` 32-bit limbs under `top`: its top 64-bit word,
+// or, for an odd limb count, the half-empty top word's low 32 bits.
+BigNum modulus_under(u64 top, std::size_t limbs, common::Xorshift64& rng) {
+  const std::size_t lower = limbs % 2 ? limbs - 1 : limbs - 2;
+  BigNum m = BigNum(limbs % 2 ? top & 0xFFFFFFFF : top) << (32 * lower);
+  m = m + BigNum::random_below(BigNum(1) << (32 * lower), rng);
+  return m.is_odd() ? m : m + BigNum(1);
+}
+
+void expect_modexp_matches_reference(const BigNum& a, const BigNum& e,
+                                     const BigNum& m) {
+  EXPECT_EQ(a.modexp(e, m), ref::modexp(a, e, m))
+      << "a=" << a.to_hex() << " e=" << e.to_hex() << " m=" << m.to_hex();
+}
+
+// modexp runs a 64-bit Montgomery kernel unrolled per word count up to 8
+// and a runtime-length one above that. Shard p holds the unrolled kernel at
+// p + 1 words to the bit-serial reference; shards 0-3 also take the runtime
+// kernel at 9, 12, 17 and 65 words (65 words overruns any fixed 64-word
+// accumulator, which ASan would report). Each count is reached from an odd
+// 32-bit limb count (a half-empty top word) and an even one (a full one).
+// Top words of all ones make the product overflow into the carry word and
+// take the final subtraction; 0x8000...0001 sits just above R/2. Exponents
+// lie on both sides of the 64-bit cut between the binary ladder and the
+// 4-bit windows, and each modulus takes one full-width exponent in turn:
+// uniform, all-ones, a power of two and m - 1.
+TEST_P(BigNumDifferential, ModExpAtEveryWordCountAgreesWithReference) {
+  common::Xorshift64 rng(0x40D3ull + static_cast<u64>(GetParam()));
+  const BigNum one(1);
+  const std::size_t words = static_cast<std::size_t>(GetParam()) + 1;
+  std::size_t turn = 0;
+  for (const std::size_t limbs : {2 * words - 1, 2 * words}) {
+    const std::size_t bits = 32 * limbs;
+    for (const u64 top : {~u64{0}, u64{0x8000000000000001}}) {
+      const BigNum m = modulus_under(top, limbs, rng);
+      SCOPED_TRACE("limbs " + std::to_string(limbs));
+      const BigNum operands[] = {m - one, BigNum::random_below(m, rng),
+                                 BigNum::random_bits(bits + 40, rng)};
+      const BigNum ladder[] = {BigNum(65537), one << 63, (one << 64) - one};
+      const BigNum full_width[] = {BigNum::random_bits(bits, rng),
+                                   (one << bits) - one, one << (bits - 1),
+                                   m - one};
+      for (const BigNum& e :
+           {ladder[turn % 3], one << 64, full_width[turn % 4]}) {
+        expect_modexp_matches_reference(operands[turn % 3], e, m);
+      }
+      ++turn;
+    }
+  }
+  constexpr std::size_t kRuntimeWords[] = {9, 12, 17, 65};
+  if (GetParam() >= 4) return;
+  const std::size_t runtime_words = kRuntimeWords[GetParam()];
+  for (const std::size_t limbs : {2 * runtime_words - 1, 2 * runtime_words}) {
+    const BigNum m = modulus_under(~u64{0}, limbs, rng);
+    SCOPED_TRACE("runtime-length, limbs " + std::to_string(limbs));
+    const BigNum a = BigNum::random_below(m, rng);
+    // At 65 words the reference spends about 5 ms per exponent bit in an
+    // optimised build and several times that under the sanitizers, so the
+    // widest modulus keeps to the 17 bits of 65537.
+    expect_modexp_matches_reference(
+        a, runtime_words < 64 ? (one << 64) + one : BigNum(65537), m);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeded, BigNumDifferential, ::testing::Range(0, 8));
 
 TEST(BigNumEdges, LimbBoundaryValuesAgreeWithReference) {

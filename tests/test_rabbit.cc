@@ -3,6 +3,7 @@
 // (MUL, BOOL, XPC, LCALL/LRET), interrupts, and the board model.
 #include <gtest/gtest.h>
 
+#include "common/prng.h"
 #include "rabbit/board.h"
 #include "rabbit/cpu.h"
 #include "rabbit/memory.h"
@@ -77,6 +78,39 @@ TEST(Memory, XpcWindowBankSwitches) {
   EXPECT_EQ(m.read(0xE000), 0xAA);
   m.set_xpc(0x10);
   EXPECT_EQ(m.read(0xE000), 0xBB);
+}
+
+// The page table against the logical map worked out from the registers:
+// after each write of a seeded sequence of SEGSIZE, DATASEG, STACKSEG and
+// XPC writes, one address in every 4 KiB page translates as the map in
+// memory.h says. An XPC write updates only the window's two pages, so the
+// sequence checks that both move and that no other page depends on XPC.
+TEST(Memory, RandomSegmentWritesMatchReferenceMap) {
+  common::Xorshift64 rng(0x5E65);
+  Memory m;
+  u8 segsize = m.segsize(), dataseg = m.dataseg(), stackseg = m.stackseg(),
+     xpc = m.xpc();
+  for (int write = 0; write < 2000; ++write) {
+    const u8 v = rng.next_u8();
+    switch (rng.next_below(4)) {
+      case 0: m.set_segsize(segsize = v); break;
+      case 1: m.set_dataseg(dataseg = v); break;
+      case 2: m.set_stackseg(stackseg = v); break;
+      default: m.set_xpc(xpc = v); break;
+    }
+    const u32 data_base = (segsize & 0x0Fu) << 12;
+    const u32 stack_base = (segsize & 0xF0u) << 8;
+    for (u32 page = 0; page < 16; ++page) {
+      const u32 logical = (page << 12) | rng.next_below(0x1000);
+      u32 seg = 0;  // root
+      if (logical >= 0xE000) seg = xpc;
+      else if (logical >= stack_base) seg = stackseg;
+      else if (logical >= data_base) seg = dataseg;
+      ASSERT_EQ(m.translate(static_cast<u16>(logical)),
+                (logical + (seg << 12)) % Memory::kPhysSize)
+          << "write " << write << ", logical 0x" << std::hex << logical;
+    }
+  }
 }
 
 TEST(Memory, PhysicalWrapsAtOneMegabyte) {
