@@ -19,8 +19,8 @@
 #      test_dispatch, test_rabbit, test_rabbit_isa and test_aes_port (the
 #      fast loop indexes its decode page from a running physical PC, so a
 #      fetch off the page would be a heap overflow; the fast-vs-legacy
-#      differentials and the real AES images run here) — and of the soak
-#      and fault benches —
+#      differentials, every encoding's fall-through included, and the real
+#      AES images run here) — and of the soak and fault benches —
 #      E9 (wire faults), E10 (board deaths), E11 (resumption), E12 (trace
 #      audit), E14 (the engine record gate), E15 (hostile peers + fuzz),
 #      E16 (reduced-scale slab churn in quarantine/poison mode) and E17
@@ -45,7 +45,10 @@
 #      workloads on seeds 1-3; the twelve `determinism {...}` lines (every
 #      count and board-clock metric the benchmark pins per seed) must equal
 #      bench/snapshots/PERFBENCH_DETERMINISM.txt. A change that means to
-#      move them refreshes that file in the same change.
+#      move them refreshes that file in the same change. onboard_aes, the
+#      workload that runs Rabbit code, runs seeds 1-3 again under
+#      RMC_DISPATCH=legacy, and those three lines must equal the fast
+#      interpreter's pinned ones.
 #
 # Usage:
 #   scripts/check.sh
@@ -193,20 +196,24 @@ for entry in E1:bench_aes_asm_vs_c E2:bench_optimizations; do
 done
 
 echo
-echo "== perfbench determinism: 4 workloads x seeds 1-3 == snapshot =="
+echo "== perfbench determinism: 4 workloads x seeds 1-3 == snapshot, onboard_aes legacy too =="
 # One unit per run (--seconds 0.01): the determinism line holds per-unit
 # counts, so a longer run prints the same line. run.py's build output goes
 # to a log that is shown if a build or a run fails.
+perfbench_line() {
+  local workload="$1" seed="$2" out
+  if ! out="$(CARGO_TARGET_DIR="$tmp/perfbench" python3 \
+      "$repo_root/perfbench/run.py" --workload "$workload" --seed "$seed" \
+      --seconds 0.01 2>>"$tmp/perfbench.log")"; then
+    tail -20 "$tmp/perfbench.log" >&2
+    echo "perfbench $workload seed $seed failed" >&2
+    return 1
+  fi
+  echo "$workload seed $seed: $(grep '^determinism ' <<<"$out")"
+}
 for workload in psk_churn rsa_churn bulk_stream onboard_aes; do
   for seed in 1 2 3; do
-    if ! out="$(CARGO_TARGET_DIR="$tmp/perfbench" python3 \
-        "$repo_root/perfbench/run.py" --workload "$workload" --seed "$seed" \
-        --seconds 0.01 2>>"$tmp/perfbench.log")"; then
-      tail -20 "$tmp/perfbench.log" >&2
-      echo "perfbench $workload seed $seed failed" >&2
-      exit 1
-    fi
-    echo "$workload seed $seed: $(grep '^determinism ' <<<"$out")"
+    perfbench_line "$workload" "$seed"
   done
 done >"$tmp/perfbench_determinism.txt"
 if ! diff "$snap_dir/PERFBENCH_DETERMINISM.txt" \
@@ -216,6 +223,17 @@ if ! diff "$snap_dir/PERFBENCH_DETERMINISM.txt" \
   exit 1
 fi
 echo "perfbench: 12 determinism lines match the snapshot"
+# The benchmark's own Rabbit workload under the reference interpreter.
+for seed in 1 2 3; do
+  RMC_DISPATCH=legacy perfbench_line onboard_aes "$seed"
+done >"$tmp/perfbench_legacy.txt"
+if ! diff <(grep '^onboard_aes ' "$snap_dir/PERFBENCH_DETERMINISM.txt") \
+    "$tmp/perfbench_legacy.txt"; then
+  echo "RMC_DISPATCH=legacy onboard_aes determinism lines differ from" \
+    "bench/snapshots/PERFBENCH_DETERMINISM.txt (snapshot <, legacy >)" >&2
+  exit 1
+fi
+echo "perfbench: 3 legacy onboard_aes lines match the fast interpreter's"
 
 echo
 echo "check.sh: all gates passed"

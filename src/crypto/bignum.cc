@@ -21,15 +21,12 @@ using common::u32;
 using common::u64;
 using u128 = unsigned __int128;
 
-namespace {
-
-// Precondition violations stop the program in every build type. An assert
-// would vanish under NDEBUG (the Release benches) and leave a wrapped or
-// meaningless value to flow on.
-[[noreturn]] void fail_stop(const char* what) {
-  std::fprintf(stderr, "BigNum precondition violated: %s\n", what);
+void fail_stop(const char* what) {
+  std::fprintf(stderr, "crypto fail-stop: %s\n", what);
   std::abort();
 }
+
+namespace {
 
 // Remainder-and-quotient by one limb: the trial divisions of
 // is_probable_prime and every divisor below 2^32.
@@ -610,11 +607,15 @@ bool BigNum::is_probable_prime(const BigNum& n, common::Xorshift64& rng,
 }
 
 BigNum BigNum::generate_prime(std::size_t bits, common::Xorshift64& rng) {
-  while (true) {
+  // An odd candidate is prime with probability about 2 / ln 2^bits, so
+  // about 0.35 * bits are drawn on average. 64 * bits fail only when no
+  // prime has this width (bits < 2) or the primality test is broken.
+  for (std::size_t i = 0; i < 64 * bits; ++i) {
     BigNum candidate = random_bits(bits, rng);
     if (!candidate.is_odd()) candidate = candidate + BigNum(1);
     if (is_probable_prime(candidate, rng)) return candidate;
   }
+  fail_stop("generate_prime found no prime in 64 * bits candidates");
 }
 
 }  // namespace rmc::crypto

@@ -82,7 +82,8 @@ class BigNum {
   /// Miller-Rabin with `rounds` random bases.
   static bool is_probable_prime(const BigNum& n, common::Xorshift64& rng,
                                 int rounds = 20);
-  /// Random probable prime with exactly `bits` bits.
+  /// Random probable prime with exactly `bits` bits. Fail-stops after
+  /// 64 * bits candidates.
   static BigNum generate_prime(std::size_t bits, common::Xorshift64& rng);
 
   const std::vector<common::u32>& limbs() const { return limbs_; }
@@ -96,5 +97,10 @@ struct BigNum::DivMod {
   BigNum quotient;
   BigNum remainder;
 };
+
+/// Prints "crypto fail-stop: <what>" to stderr and aborts, in every build
+/// type: for a violated precondition or a search past its bound, where an
+/// assert would vanish under NDEBUG and let a meaningless value flow on.
+[[noreturn]] void fail_stop(const char* what);
 
 }  // namespace rmc::crypto

@@ -8,7 +8,10 @@ using common::Status;
 
 RsaKeyPair rsa_generate(std::size_t bits, common::Xorshift64& rng) {
   const BigNum e(65537);
-  while (true) {
+  // A round is redrawn only when p == q or e divides p - 1 or q - 1, about
+  // 1 in 33,000 rounds at real widths. 64 rounds fail only when this width
+  // has no such key (4 bits: p = q = 3) or the arithmetic is broken.
+  for (int round = 0; round < 64; ++round) {
     const BigNum p = BigNum::generate_prime(bits / 2, rng);
     const BigNum q = BigNum::generate_prime(bits - bits / 2, rng);
     if (p == q) continue;
@@ -25,6 +28,7 @@ RsaKeyPair rsa_generate(std::size_t bits, common::Xorshift64& rng) {
                             d->mod(q - BigNum(1)), *q_inv};
     return kp;
   }
+  fail_stop("rsa_generate found no key pair in 64 rounds");
 }
 
 Result<std::vector<u8>> rsa_encrypt(const RsaPublicKey& key,

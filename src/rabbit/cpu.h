@@ -18,14 +18,14 @@
 //   * kLegacy — the original one-switch-per-opcode `step()` loop; every
 //     instruction decodes from scratch and peripherals tick per step.
 //   * kFast   — `run()` predecodes instructions into per-physical-page
-//     micro-op tables and dispatches them through computed gotos (a dense
-//     switch where the compiler lacks the extension). It fetches along the
-//     program: after an instruction that falls through, the next micro-op
-//     is the next slot of the same decode page, and the PC goes through
-//     the segment table again only after a taken control transfer, an XPC
-//     write or a return from step(). Per-step attribution lives in a second
-//     instance of the loop, chosen once per run from whether an observer is
-//     attached. Peripheral ticks are batched between I/O boundaries, which
+//     micro-op tables and dispatches them through computed gotos. It
+//     fetches along the program: after an instruction that falls through,
+//     the next micro-op is the slot its kind's constant length further on
+//     in the same decode page, and the PC goes through the segment table
+//     again only after a taken control transfer, an XPC write or a return
+//     from step(). Per-step attribution lives in a second instance of the
+//     loop, chosen once per run from whether an observer is attached.
+//     Peripheral ticks are batched between I/O boundaries, which
 //     is observationally identical because every peripheral's tick() is an
 //     additive accumulator.
 // The fast path only runs while interrupts are globally disabled and no
@@ -203,13 +203,13 @@ class Cpu : public CodeWatch {
   /// a 4 KiB page) and invalidation (a store can only stale decodings that
   /// start within kMaxUopBytes-1 bytes before it).
   static constexpr u32 kMaxUopBytes = 5;
-  struct Uop {
+  /// A decoded instruction's operands. Its length and cycle costs belong to
+  /// its kind and are constants of the kind's handler. Eight bytes, so a
+  /// slot is found by a shift and never straddles a cache line.
+  struct alignas(8) Uop {
     u8 kind = 0;  // UKind; 0 = not decoded
-    u8 len = 0;   // logical PC advance
-    u8 cyc = 0;   // base cycle cost
     u8 a = 0;     // operand selector (register/condition/ALU op...)
     u8 b = 0;     // second operand selector
-    u8 pad = 0;
     u16 imm = 0;  // immediate / displacement
   };
   struct UopPage {

@@ -1,8 +1,8 @@
 // Fast dispatch for rabbit::Cpu (DESIGN.md §15).
 //
 // Instructions are predecoded into 8-byte micro-ops cached per physical 4 KiB
-// page and dispatched through computed gotos (a dense switch when the
-// compiler lacks the extension). The cache is keyed by *physical* address:
+// page and dispatched through computed gotos (GCC and Clang, which the
+// build needs anyway for __int128). The cache is keyed by *physical* address:
 // every segment boundary the hardware can express is 4 KiB-aligned, so as
 // long as an instruction's bytes live in one logical page its physical image
 // is contiguous under any SEGSIZE/DATASEG/STACKSEG/XPC setting and the
@@ -12,7 +12,8 @@
 //
 // Fetch follows the program. An instruction that falls through without
 // touching the mapping is followed by the next slot of its own decode page
-// (slot + len): no segment-table lookup, no page compare. The PC is
+// (slot + its kind's constant length, so the next address waits on no
+// load): no segment-table lookup, no page compare. The PC is
 // translated again only after a taken control transfer (JP/JR/DJNZ/CALL/
 // RET/RST, JP (HL)/(IX)/(IY), a repeating LDIR/LDDR step), after every XPC
 // write (LD XPC,A, LJP, LCALL, LRET: the same logical PC may now live in
@@ -42,48 +43,58 @@ using common::i8;
 constexpr u32 kPageMask = Memory::kPageSize - 1;
 }  // namespace
 
-// Micro-op kinds. The enum and the computed-goto table are generated from
-// this single list so they can never fall out of step. Blocks of eight ALU
-// kinds are laid out in (op>>3)&7 order — ADD ADC SUB SBC AND XOR OR CP —
+// Micro-op kinds, each with the length in bytes of every instruction that
+// decodes to it (0 for the two kinds that are not a cached instruction). The
+// enum, the computed-goto table and kUopLen are generated from this single
+// list, so a kind's length is written here and nowhere else. Blocks of eight
+// ALU kinds are laid out in (op>>3)&7 order — ADD ADC SUB SBC AND XOR OR CP —
 // and indexed arithmetically by the decoder.
-#define RMC_UOP_LIST(X)                                                   \
-  X(Invalid) X(Slow) X(Nop)                                               \
-  X(LdRR) X(LdRMhl) X(StMhlR) X(LdRN) X(StHlN)                            \
-  X(LdABc) X(LdADe) X(StBcA) X(StDeA) X(LdANn) X(StNnA)                   \
-  X(LdBcI) X(LdDeI) X(LdHlI) X(LdSpI)                                     \
-  X(StIndHl) X(LdHlInd)                                                   \
-  X(IncBc) X(IncDe) X(IncHl) X(IncSp)                                     \
-  X(DecBc) X(DecDe) X(DecHl) X(DecSp)                                     \
-  X(IncR) X(IncMhl) X(DecR) X(DecMhl)                                     \
-  X(Rlca) X(Rrca) X(Rla) X(Rra)                                           \
-  X(Daa) X(Cpl) X(Scf) X(Ccf)                                             \
-  X(ExAf) X(Exx) X(ExDeHl) X(ExSpHl)                                      \
-  X(AddHlBc) X(AddHlDe) X(AddHlHl) X(AddHlSp)                             \
-  X(Djnz) X(Jr) X(JrCc)                                                   \
-  X(AddR) X(AdcR) X(SubR) X(SbcR) X(AndR) X(XorR) X(OrR) X(CpR)           \
-  X(AddMhl) X(AdcMhl) X(SubMhl) X(SbcMhl) X(AndMhl) X(XorMhl) X(OrMhl)    \
-  X(CpMhl)                                                                \
-  X(AddN) X(AdcN) X(SubN) X(SbcN) X(AndN) X(XorN) X(OrN) X(CpN)           \
-  X(RetCc) X(Ret) X(PopBc) X(PopDe) X(PopHl) X(PopAf)                     \
-  X(PushBc) X(PushDe) X(PushHl) X(PushAf)                                 \
-  X(Jp) X(JpCc) X(JpHl) X(Call) X(CallCc) X(Rst) X(Mul)                   \
-  X(Out) X(In) X(LdSpHl) X(Di)                                            \
-  X(CbRotR) X(CbRotMhl) X(CbBitR) X(CbBitMhl)                             \
-  X(CbResR) X(CbResMhl) X(CbSetR) X(CbSetMhl)                             \
-  X(SbcHlRp) X(AdcHlRp) X(EdStRp) X(EdLdRp)                               \
-  X(Neg) X(LdXpcA) X(LdAXpc) X(Bool)                                      \
-  X(Ljp) X(Lcall) X(Lret) X(BlockLd)                                      \
-  X(IxLdRM) X(IxStMR)                                                     \
-  X(IxAdd) X(IxAdc) X(IxSub) X(IxSbc) X(IxAnd) X(IxXor) X(IxOr) X(IxCp)   \
-  X(IxLdI) X(IxStInd) X(IxLdInd) X(IxInc) X(IxDec) X(IxAddRp)             \
-  X(IxIncM) X(IxDecM) X(IxStNI)                                           \
-  X(IxPop) X(IxPush) X(IxExSp) X(IxJp) X(IxLdSp)
+#define RMC_UOP_LIST(X)                                                     \
+  X(Invalid, 0) X(Slow, 0) X(Nop, 1)                                        \
+  X(LdRR, 1) X(LdRMhl, 1) X(StMhlR, 1) X(LdRN, 2) X(StHlN, 2)               \
+  X(LdABc, 1) X(LdADe, 1) X(StBcA, 1) X(StDeA, 1) X(LdANn, 3) X(StNnA, 3)   \
+  X(LdBcI, 3) X(LdDeI, 3) X(LdHlI, 3) X(LdSpI, 3)                           \
+  X(StIndHl, 3) X(LdHlInd, 3)                                               \
+  X(IncBc, 1) X(IncDe, 1) X(IncHl, 1) X(IncSp, 1)                           \
+  X(DecBc, 1) X(DecDe, 1) X(DecHl, 1) X(DecSp, 1)                           \
+  X(IncR, 1) X(IncMhl, 1) X(DecR, 1) X(DecMhl, 1)                           \
+  X(Rlca, 1) X(Rrca, 1) X(Rla, 1) X(Rra, 1)                                 \
+  X(Daa, 1) X(Cpl, 1) X(Scf, 1) X(Ccf, 1)                                   \
+  X(ExAf, 1) X(Exx, 1) X(ExDeHl, 1) X(ExSpHl, 1)                            \
+  X(AddHlBc, 1) X(AddHlDe, 1) X(AddHlHl, 1) X(AddHlSp, 1)                   \
+  X(Djnz, 2) X(Jr, 2) X(JrCc, 2)                                            \
+  X(AddR, 1) X(AdcR, 1) X(SubR, 1) X(SbcR, 1)                               \
+  X(AndR, 1) X(XorR, 1) X(OrR, 1) X(CpR, 1)                                 \
+  X(AddMhl, 1) X(AdcMhl, 1) X(SubMhl, 1) X(SbcMhl, 1)                       \
+  X(AndMhl, 1) X(XorMhl, 1) X(OrMhl, 1) X(CpMhl, 1)                         \
+  X(AddN, 2) X(AdcN, 2) X(SubN, 2) X(SbcN, 2)                               \
+  X(AndN, 2) X(XorN, 2) X(OrN, 2) X(CpN, 2)                                 \
+  X(RetCc, 1) X(Ret, 1) X(PopBc, 1) X(PopDe, 1) X(PopHl, 1) X(PopAf, 1)     \
+  X(PushBc, 1) X(PushDe, 1) X(PushHl, 1) X(PushAf, 1)                       \
+  X(Jp, 3) X(JpCc, 3) X(JpHl, 1) X(Call, 3) X(CallCc, 3) X(Rst, 1)          \
+  X(Mul, 1) X(Out, 2) X(In, 2) X(LdSpHl, 1) X(Di, 1)                        \
+  X(CbRotR, 2) X(CbRotMhl, 2) X(CbBitR, 2) X(CbBitMhl, 2)                   \
+  X(CbResR, 2) X(CbResMhl, 2) X(CbSetR, 2) X(CbSetMhl, 2)                   \
+  X(SbcHlRp, 2) X(AdcHlRp, 2) X(EdStRp, 4) X(EdLdRp, 4)                     \
+  X(Neg, 2) X(LdXpcA, 2) X(LdAXpc, 2) X(Bool, 2)                            \
+  X(Ljp, 5) X(Lcall, 5) X(Lret, 2) X(BlockLd, 2)                            \
+  X(IxLdRM, 3) X(IxStMR, 3)                                                 \
+  X(IxAdd, 3) X(IxAdc, 3) X(IxSub, 3) X(IxSbc, 3)                           \
+  X(IxAnd, 3) X(IxXor, 3) X(IxOr, 3) X(IxCp, 3)                             \
+  X(IxLdI, 4) X(IxStInd, 4) X(IxLdInd, 4) X(IxInc, 2) X(IxDec, 2)           \
+  X(IxAddRp, 2) X(IxIncM, 3) X(IxDecM, 3) X(IxStNI, 4)                      \
+  X(IxPop, 2) X(IxPush, 2) X(IxExSp, 2) X(IxJp, 2) X(IxLdSp, 2)
 
 enum UKind : u8 {
-#define X(n) kU_##n,
+#define X(n, len) kU_##n,
   RMC_UOP_LIST(X)
 #undef X
-  kU_Count
+};
+
+constexpr u8 kUopLen[] = {
+#define X(n, len) len,
+    RMC_UOP_LIST(X)
+#undef X
 };
 
 void Cpu::decode_uop(u32 phys, Uop& u) const {
@@ -105,48 +116,39 @@ void Cpu::decode_uop(u32 phys, Uop& u) const {
       const u8 dst = (sub >> 3) & 7;
       const u8 src = sub & 7;
       if (src == 6) {
-        u.kind = kU_IxLdRM; u.a = static_cast<u8>(dst | iy);
-        u.imm = rd(2); u.len = 3; u.cyc = 9;
+        u.kind = kU_IxLdRM; u.a = static_cast<u8>(dst | iy); u.imm = rd(2);
       } else if (dst == 6) {
-        u.kind = kU_IxStMR; u.a = static_cast<u8>(src | iy);
-        u.imm = rd(2); u.len = 3; u.cyc = 10;
+        u.kind = kU_IxStMR; u.a = static_cast<u8>(src | iy); u.imm = rd(2);
       }
       return;  // other register-register forms: illegal -> slow
     }
     if (sub >= 0x80 && sub <= 0xBF && (sub & 7) == 6) {
       u.kind = static_cast<u8>(kU_IxAdd + ((sub >> 3) & 7));
-      u.a = iy; u.imm = rd(2); u.len = 3; u.cyc = 9;
+      u.a = iy; u.imm = rd(2);
       return;
     }
     switch (sub) {
       case 0x21: u.kind = kU_IxLdI; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 8;
-                 break;
+                 u.imm = common::make16(rd(2), rd(3)); break;
       case 0x22: u.kind = kU_IxStInd; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 15;
-                 break;
+                 u.imm = common::make16(rd(2), rd(3)); break;
       case 0x2A: u.kind = kU_IxLdInd; u.a = iy;
-                 u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
-                 break;
-      case 0x23: u.kind = kU_IxInc; u.a = iy; u.len = 2; u.cyc = 4; break;
-      case 0x2B: u.kind = kU_IxDec; u.a = iy; u.len = 2; u.cyc = 4; break;
+                 u.imm = common::make16(rd(2), rd(3)); break;
+      case 0x23: u.kind = kU_IxInc; u.a = iy; break;
+      case 0x2B: u.kind = kU_IxDec; u.a = iy; break;
       case 0x09: case 0x19: case 0x29: case 0x39:
         u.kind = kU_IxAddRp; u.a = static_cast<u8>(((sub >> 4) & 3) | iy);
-        u.len = 2; u.cyc = 4;
         break;
-      case 0x34: u.kind = kU_IxIncM; u.a = iy; u.imm = rd(2);
-                 u.len = 3; u.cyc = 12; break;
-      case 0x35: u.kind = kU_IxDecM; u.a = iy; u.imm = rd(2);
-                 u.len = 3; u.cyc = 12; break;
+      case 0x34: u.kind = kU_IxIncM; u.a = iy; u.imm = rd(2); break;
+      case 0x35: u.kind = kU_IxDecM; u.a = iy; u.imm = rd(2); break;
       case 0x36: u.kind = kU_IxStNI; u.a = iy;
                  u.imm = common::make16(rd(2), rd(3));  // lo=d, hi=n
-                 u.len = 4; u.cyc = 11;
                  break;
-      case 0xE1: u.kind = kU_IxPop; u.a = iy; u.len = 2; u.cyc = 9; break;
-      case 0xE5: u.kind = kU_IxPush; u.a = iy; u.len = 2; u.cyc = 12; break;
-      case 0xE3: u.kind = kU_IxExSp; u.a = iy; u.len = 2; u.cyc = 15; break;
-      case 0xE9: u.kind = kU_IxJp; u.a = iy; u.len = 2; u.cyc = 6; break;
-      case 0xF9: u.kind = kU_IxLdSp; u.a = iy; u.len = 2; u.cyc = 4; break;
+      case 0xE1: u.kind = kU_IxPop; u.a = iy; break;
+      case 0xE5: u.kind = kU_IxPush; u.a = iy; break;
+      case 0xE3: u.kind = kU_IxExSp; u.a = iy; break;
+      case 0xE9: u.kind = kU_IxJp; u.a = iy; break;
+      case 0xF9: u.kind = kU_IxLdSp; u.a = iy; break;
       default: break;  // DD CB and illegals -> slow
     }
     return;
@@ -159,59 +161,54 @@ void Cpu::decode_uop(u32 phys, Uop& u) const {
     switch (sub >> 6) {
       case 0:
         if (bit == 6) return;  // SLL: illegal -> slow
-        if (reg == 6) { u.kind = kU_CbRotMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbRotR; u.a = bit; u.b = reg; u.cyc = 4; }
+        if (reg == 6) { u.kind = kU_CbRotMhl; u.a = bit; }
+        else { u.kind = kU_CbRotR; u.a = bit; u.b = reg; }
         break;
       case 1:
-        if (reg == 6) { u.kind = kU_CbBitMhl; u.a = bit; u.cyc = 7; }
-        else { u.kind = kU_CbBitR; u.a = bit; u.b = reg; u.cyc = 4; }
+        if (reg == 6) { u.kind = kU_CbBitMhl; u.a = bit; }
+        else { u.kind = kU_CbBitR; u.a = bit; u.b = reg; }
         break;
       case 2:
-        if (reg == 6) { u.kind = kU_CbResMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbResR; u.a = bit; u.b = reg; u.cyc = 4; }
+        if (reg == 6) { u.kind = kU_CbResMhl; u.a = bit; }
+        else { u.kind = kU_CbResR; u.a = bit; u.b = reg; }
         break;
       default:
-        if (reg == 6) { u.kind = kU_CbSetMhl; u.a = bit; u.cyc = 10; }
-        else { u.kind = kU_CbSetR; u.a = bit; u.b = reg; u.cyc = 4; }
+        if (reg == 6) { u.kind = kU_CbSetMhl; u.a = bit; }
+        else { u.kind = kU_CbSetR; u.a = bit; u.b = reg; }
         break;
     }
-    u.len = 2;
     return;
   }
 
   if (op == 0xED) {
     const u8 sub = rd(1);
-    u.len = 2;
     switch (sub) {
       case 0x42: case 0x52: case 0x62: case 0x72:
-        u.kind = kU_SbcHlRp; u.a = (sub >> 4) & 3; u.cyc = 4; return;
+        u.kind = kU_SbcHlRp; u.a = (sub >> 4) & 3; return;
       case 0x4A: case 0x5A: case 0x6A: case 0x7A:
-        u.kind = kU_AdcHlRp; u.a = (sub >> 4) & 3; u.cyc = 4; return;
+        u.kind = kU_AdcHlRp; u.a = (sub >> 4) & 3; return;
       case 0x43: case 0x53: case 0x63: case 0x73:
         u.kind = kU_EdStRp; u.a = (sub >> 4) & 3;
-        u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
+        u.imm = common::make16(rd(2), rd(3));
         return;
       case 0x4B: case 0x5B: case 0x6B: case 0x7B:
         u.kind = kU_EdLdRp; u.a = (sub >> 4) & 3;
-        u.imm = common::make16(rd(2), rd(3)); u.len = 4; u.cyc = 13;
+        u.imm = common::make16(rd(2), rd(3));
         return;
-      case 0x44: u.kind = kU_Neg; u.cyc = 2; return;
-      case 0x67: u.kind = kU_LdXpcA; u.cyc = 4; return;
-      case 0x77: u.kind = kU_LdAXpc; u.cyc = 4; return;
-      case 0x90: u.kind = kU_Bool; u.cyc = 2; return;
+      case 0x44: u.kind = kU_Neg; return;
+      case 0x67: u.kind = kU_LdXpcA; return;
+      case 0x77: u.kind = kU_LdAXpc; return;
+      case 0x90: u.kind = kU_Bool; return;
       case 0xC3:
         u.kind = kU_Ljp; u.imm = common::make16(rd(2), rd(3)); u.a = rd(4);
-        u.len = 5; u.cyc = 10;
         return;
       case 0xCD:
         u.kind = kU_Lcall; u.imm = common::make16(rd(2), rd(3)); u.a = rd(4);
-        u.len = 5; u.cyc = 19;
         return;
-      case 0xC9: u.kind = kU_Lret; u.cyc = 13; return;
+      case 0xC9: u.kind = kU_Lret; return;
       case 0xA0: case 0xA8: case 0xB0: case 0xB8:
         u.kind = kU_BlockLd; u.a = sub; return;
-      default:
-        u.kind = kU_Slow; u.len = 0; return;  // RETI and illegals
+      default: return;  // RETI and illegals -> slow
     }
   }
 
@@ -220,157 +217,145 @@ void Cpu::decode_uop(u32 phys, Uop& u) const {
     if (op == 0x76) return;  // HALT -> slow (exits the fast loop)
     const u8 dst = (op >> 3) & 7;
     const u8 src = op & 7;
-    u.len = 1;
-    if (src == 6) { u.kind = kU_LdRMhl; u.a = dst; u.cyc = 6; }
-    else if (dst == 6) { u.kind = kU_StMhlR; u.b = src; u.cyc = 6; }
-    else { u.kind = kU_LdRR; u.a = dst; u.b = src; u.cyc = 2; }
+    if (src == 6) { u.kind = kU_LdRMhl; u.a = dst; }
+    else if (dst == 6) { u.kind = kU_StMhlR; u.b = src; }
+    else { u.kind = kU_LdRR; u.a = dst; u.b = src; }
     return;
   }
   // ALU A,r block (0x80-0xBF).
   if (op >= 0x80 && op <= 0xBF) {
     const u8 aluop = (op >> 3) & 7;
     const u8 src = op & 7;
-    u.len = 1;
-    if (src == 6) { u.kind = static_cast<u8>(kU_AddMhl + aluop); u.cyc = 5; }
-    else { u.kind = static_cast<u8>(kU_AddR + aluop); u.b = src; u.cyc = 2; }
+    if (src == 6) { u.kind = static_cast<u8>(kU_AddMhl + aluop); }
+    else { u.kind = static_cast<u8>(kU_AddR + aluop); u.b = src; }
     return;
   }
 
   switch (op) {
-    case 0x00: u.kind = kU_Nop; u.len = 1; u.cyc = 2; return;
+    case 0x00: u.kind = kU_Nop; return;
     case 0x01: u.kind = kU_LdBcI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
+               return;
     case 0x11: u.kind = kU_LdDeI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
+               return;
     case 0x21: u.kind = kU_LdHlI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
+               return;
     case 0x31: u.kind = kU_LdSpI; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 6; return;
+               return;
 
-    case 0x02: u.kind = kU_StBcA; u.len = 1; u.cyc = 7; return;
-    case 0x12: u.kind = kU_StDeA; u.len = 1; u.cyc = 7; return;
-    case 0x0A: u.kind = kU_LdABc; u.len = 1; u.cyc = 6; return;
-    case 0x1A: u.kind = kU_LdADe; u.len = 1; u.cyc = 6; return;
+    case 0x02: u.kind = kU_StBcA; return;
+    case 0x12: u.kind = kU_StDeA; return;
+    case 0x0A: u.kind = kU_LdABc; return;
+    case 0x1A: u.kind = kU_LdADe; return;
 
-    case 0x03: u.kind = kU_IncBc; u.len = 1; u.cyc = 2; return;
-    case 0x13: u.kind = kU_IncDe; u.len = 1; u.cyc = 2; return;
-    case 0x23: u.kind = kU_IncHl; u.len = 1; u.cyc = 2; return;
-    case 0x33: u.kind = kU_IncSp; u.len = 1; u.cyc = 2; return;
-    case 0x0B: u.kind = kU_DecBc; u.len = 1; u.cyc = 2; return;
-    case 0x1B: u.kind = kU_DecDe; u.len = 1; u.cyc = 2; return;
-    case 0x2B: u.kind = kU_DecHl; u.len = 1; u.cyc = 2; return;
-    case 0x3B: u.kind = kU_DecSp; u.len = 1; u.cyc = 2; return;
+    case 0x03: u.kind = kU_IncBc; return;
+    case 0x13: u.kind = kU_IncDe; return;
+    case 0x23: u.kind = kU_IncHl; return;
+    case 0x33: u.kind = kU_IncSp; return;
+    case 0x0B: u.kind = kU_DecBc; return;
+    case 0x1B: u.kind = kU_DecDe; return;
+    case 0x2B: u.kind = kU_DecHl; return;
+    case 0x3B: u.kind = kU_DecSp; return;
 
     case 0x04: case 0x0C: case 0x14: case 0x1C:
     case 0x24: case 0x2C: case 0x3C:
-      u.kind = kU_IncR; u.a = (op >> 3) & 7; u.len = 1; u.cyc = 2; return;
-    case 0x34: u.kind = kU_IncMhl; u.len = 1; u.cyc = 8; return;
+      u.kind = kU_IncR; u.a = (op >> 3) & 7; return;
+    case 0x34: u.kind = kU_IncMhl; return;
     case 0x05: case 0x0D: case 0x15: case 0x1D:
     case 0x25: case 0x2D: case 0x3D:
-      u.kind = kU_DecR; u.a = (op >> 3) & 7; u.len = 1; u.cyc = 2; return;
-    case 0x35: u.kind = kU_DecMhl; u.len = 1; u.cyc = 8; return;
+      u.kind = kU_DecR; u.a = (op >> 3) & 7; return;
+    case 0x35: u.kind = kU_DecMhl; return;
     case 0x06: case 0x0E: case 0x16: case 0x1E:
     case 0x26: case 0x2E: case 0x3E:
-      u.kind = kU_LdRN; u.a = (op >> 3) & 7; u.imm = rd(1);
-      u.len = 2; u.cyc = 4; return;
-    case 0x36: u.kind = kU_StHlN; u.imm = rd(1); u.len = 2; u.cyc = 7; return;
+      u.kind = kU_LdRN; u.a = (op >> 3) & 7; u.imm = rd(1); return;
+    case 0x36: u.kind = kU_StHlN; u.imm = rd(1); return;
 
-    case 0x07: u.kind = kU_Rlca; u.len = 1; u.cyc = 2; return;
-    case 0x0F: u.kind = kU_Rrca; u.len = 1; u.cyc = 2; return;
-    case 0x17: u.kind = kU_Rla; u.len = 1; u.cyc = 2; return;
-    case 0x1F: u.kind = kU_Rra; u.len = 1; u.cyc = 2; return;
+    case 0x07: u.kind = kU_Rlca; return;
+    case 0x0F: u.kind = kU_Rrca; return;
+    case 0x17: u.kind = kU_Rla; return;
+    case 0x1F: u.kind = kU_Rra; return;
 
-    case 0x08: u.kind = kU_ExAf; u.len = 1; u.cyc = 2; return;
-    case 0xD9: u.kind = kU_Exx; u.len = 1; u.cyc = 2; return;
-    case 0xEB: u.kind = kU_ExDeHl; u.len = 1; u.cyc = 2; return;
-    case 0xE3: u.kind = kU_ExSpHl; u.len = 1; u.cyc = 15; return;
+    case 0x08: u.kind = kU_ExAf; return;
+    case 0xD9: u.kind = kU_Exx; return;
+    case 0xEB: u.kind = kU_ExDeHl; return;
+    case 0xE3: u.kind = kU_ExSpHl; return;
 
-    case 0x09: u.kind = kU_AddHlBc; u.len = 1; u.cyc = 2; return;
-    case 0x19: u.kind = kU_AddHlDe; u.len = 1; u.cyc = 2; return;
-    case 0x29: u.kind = kU_AddHlHl; u.len = 1; u.cyc = 2; return;
-    case 0x39: u.kind = kU_AddHlSp; u.len = 1; u.cyc = 2; return;
+    case 0x09: u.kind = kU_AddHlBc; return;
+    case 0x19: u.kind = kU_AddHlDe; return;
+    case 0x29: u.kind = kU_AddHlHl; return;
+    case 0x39: u.kind = kU_AddHlSp; return;
 
-    case 0x10: u.kind = kU_Djnz; u.imm = rd(1); u.len = 2; return;
-    case 0x18: u.kind = kU_Jr; u.imm = rd(1); u.len = 2; u.cyc = 5; return;
+    case 0x10: u.kind = kU_Djnz; u.imm = rd(1); return;
+    case 0x18: u.kind = kU_Jr; u.imm = rd(1); return;
     case 0x20: case 0x28: case 0x30: case 0x38:
-      u.kind = kU_JrCc; u.a = (op >> 3) & 3; u.imm = rd(1); u.len = 2;
-      return;
+      u.kind = kU_JrCc; u.a = (op >> 3) & 3; u.imm = rd(1); return;
 
     case 0x22: u.kind = kU_StIndHl; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 13; return;
+               return;
     case 0x2A: u.kind = kU_LdHlInd; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 11; return;
+               return;
     case 0x32: u.kind = kU_StNnA; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 10; return;
+               return;
     case 0x3A: u.kind = kU_LdANn; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 9; return;
+               return;
 
-    case 0x27: u.kind = kU_Daa; u.len = 1; u.cyc = 4; return;
-    case 0x2F: u.kind = kU_Cpl; u.len = 1; u.cyc = 2; return;
-    case 0x37: u.kind = kU_Scf; u.len = 1; u.cyc = 2; return;
-    case 0x3F: u.kind = kU_Ccf; u.len = 1; u.cyc = 2; return;
+    case 0x27: u.kind = kU_Daa; return;
+    case 0x2F: u.kind = kU_Cpl; return;
+    case 0x37: u.kind = kU_Scf; return;
+    case 0x3F: u.kind = kU_Ccf; return;
 
     case 0xC0: case 0xC8: case 0xD0: case 0xD8:
     case 0xE0: case 0xE8: case 0xF0: case 0xF8:
-      u.kind = kU_RetCc; u.a = (op >> 3) & 7; u.len = 1; return;
-    case 0xC9: u.kind = kU_Ret; u.len = 1; u.cyc = 8; return;
+      u.kind = kU_RetCc; u.a = (op >> 3) & 7; return;
+    case 0xC9: u.kind = kU_Ret; return;
 
-    case 0xC1: u.kind = kU_PopBc; u.len = 1; u.cyc = 7; return;
-    case 0xD1: u.kind = kU_PopDe; u.len = 1; u.cyc = 7; return;
-    case 0xE1: u.kind = kU_PopHl; u.len = 1; u.cyc = 7; return;
-    case 0xF1: u.kind = kU_PopAf; u.len = 1; u.cyc = 7; return;
-    case 0xC5: u.kind = kU_PushBc; u.len = 1; u.cyc = 10; return;
-    case 0xD5: u.kind = kU_PushDe; u.len = 1; u.cyc = 10; return;
-    case 0xE5: u.kind = kU_PushHl; u.len = 1; u.cyc = 10; return;
-    case 0xF5: u.kind = kU_PushAf; u.len = 1; u.cyc = 10; return;
+    case 0xC1: u.kind = kU_PopBc; return;
+    case 0xD1: u.kind = kU_PopDe; return;
+    case 0xE1: u.kind = kU_PopHl; return;
+    case 0xF1: u.kind = kU_PopAf; return;
+    case 0xC5: u.kind = kU_PushBc; return;
+    case 0xD5: u.kind = kU_PushDe; return;
+    case 0xE5: u.kind = kU_PushHl; return;
+    case 0xF5: u.kind = kU_PushAf; return;
 
-    case 0xC3: u.kind = kU_Jp; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 7; return;
+    case 0xC3: u.kind = kU_Jp; u.imm = common::make16(rd(1), rd(2)); return;
     case 0xC2: case 0xCA: case 0xD2: case 0xDA:
     case 0xE2: case 0xEA: case 0xF2: case 0xFA:
       u.kind = kU_JpCc; u.a = (op >> 3) & 7;
-      u.imm = common::make16(rd(1), rd(2)); u.len = 3; u.cyc = 7;
+      u.imm = common::make16(rd(1), rd(2));
       return;
     case 0xCD: u.kind = kU_Call; u.imm = common::make16(rd(1), rd(2));
-               u.len = 3; u.cyc = 12; return;
+               return;
     case 0xC4: case 0xCC: case 0xD4: case 0xDC:
     case 0xE4: case 0xEC: case 0xF4: case 0xFC:
       u.kind = kU_CallCc; u.a = (op >> 3) & 7;
-      u.imm = common::make16(rd(1), rd(2)); u.len = 3;
+      u.imm = common::make16(rd(1), rd(2));
       return;
 
     case 0xC6: case 0xCE: case 0xD6: case 0xDE:
     case 0xE6: case 0xEE: case 0xF6: case 0xFE:
       u.kind = static_cast<u8>(kU_AddN + ((op >> 3) & 7)); u.imm = rd(1);
-      u.len = 2; u.cyc = 4;
       return;
 
     case 0xC7: case 0xCF: case 0xD7: case 0xDF:
     case 0xE7: case 0xEF: case 0xFF:
       u.kind = kU_Rst; u.a = op & 0x38; u.b = op == 0xEF ? 1 : 0;
-      u.len = 1; u.cyc = 10;
       return;
-    case 0xF7: u.kind = kU_Mul; u.len = 1; u.cyc = 12; return;
+    case 0xF7: u.kind = kU_Mul; return;
 
-    case 0xD3: u.kind = kU_Out; u.imm = rd(1); u.len = 2; u.cyc = 8; return;
-    case 0xDB: u.kind = kU_In; u.imm = rd(1); u.len = 2; u.cyc = 8; return;
+    case 0xD3: u.kind = kU_Out; u.imm = rd(1); return;
+    case 0xDB: u.kind = kU_In; u.imm = rd(1); return;
 
-    case 0xE9: u.kind = kU_JpHl; u.len = 1; u.cyc = 4; return;
-    case 0xF9: u.kind = kU_LdSpHl; u.len = 1; u.cyc = 2; return;
+    case 0xE9: u.kind = kU_JpHl; return;
+    case 0xF9: u.kind = kU_LdSpHl; return;
 
-    case 0xF3: u.kind = kU_Di; u.len = 1; u.cyc = 2; return;
+    case 0xF3: u.kind = kU_Di; return;
 
     default:
       // EI (0xFB) needs the one-instruction enable delay, illegals need the
       // diagnostic path: both re-execute through the legacy step().
-      u.kind = kU_Slow; u.len = 0;
       return;
   }
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-#define RMC_CGOTO 1
-#endif
 
 void Cpu::run_fast(u64 limit) {
   // Attribution is chosen once per call from whether an observer is
@@ -395,8 +380,7 @@ void Cpu::run_fast_loop(u64 limit) {
   u64 cyc = cycles_;
   u64 icount = instructions_;
   u64 tick_base = cyc;
-  u16 pc = r.pc;  // logical PC of the next instruction
-  u16 pc0 = 0;    // logical PC of the executing instruction
+  u16 pc = r.pc;  // logical PC of the executing instruction
   // Decode page of the executing instruction and its slot there. Safe to
   // hold across steps: pages are never freed, only their slots cleared
   // (on_code_write), and the executing micro-op is copied into `u`.
@@ -405,14 +389,19 @@ void Cpu::run_fast_loop(u64 limit) {
   Uop* slot = nullptr;
   Uop u{};
 
-#ifdef RMC_CGOTO
-#define X(n) &&L_##n,
+#define X(n, len) &&L_##n,
   static const void* const kJump[] = {RMC_UOP_LIST(X)};
 #undef X
-#define UOP(n) L_##n:
-#else
-#define UOP(n) case kU_##n:
-#endif
+
+// A handler: its label, and its kind's length as the constant kLen in the
+// scope of its body.
+#define UOP(n)                                                          \
+  L_##n:                                                                \
+  if constexpr ([[maybe_unused]] constexpr u32 kLen = kUopLen[kU_##n];  \
+                true)
+
+// Logical address of the instruction after the executing one.
+#define NEXT_PC() static_cast<u16>(pc + kLen)
 
 // Physical address of the executing instruction.
 #define PPC() (cur_base + static_cast<u32>(slot - cur_page->ops.data()))
@@ -422,10 +411,9 @@ void Cpu::run_fast_loop(u64 limit) {
 // transfer, XPC write and step() return.
 #define FETCH_TRANSLATE                                                    \
   if (cyc >= limit) goto out;                                              \
-  pc0 = pc;                                                                \
   {                                                                        \
     const u32 ppc__ =                                                      \
-        (static_cast<u32>(pc0) + pd[pc0 >> 12]) & (Memory::kPhysSize - 1); \
+        (static_cast<u32>(pc) + pd[pc >> 12]) & (Memory::kPhysSize - 1);   \
     const u32 base__ = ppc__ & ~kPageMask;                                 \
     if (base__ != cur_base) {                                              \
       std::unique_ptr<UopPage>& page__ = uop_pages_[ppc__ / Memory::kPageSize]; \
@@ -435,28 +423,24 @@ void Cpu::run_fast_loop(u64 limit) {
     }                                                                      \
     slot = &cur_page->ops[ppc__ & kPageMask];                              \
   }                                                                        \
-  u = *slot; /* by value: the op's own stores may invalidate the slot */   \
-  pc = static_cast<u16>(pc0 + u.len)
+  u = *slot /* by value: the op's own stores may invalidate the slot */
 
 // Sequential fetch: the executing instruction fell through and left the
-// mapping alone, so its successor is the next slot of the same decode page.
-// That slot is always inside the page: decode_uop caches no instruction
-// that starts in the last kMaxUopBytes-1 bytes of a page, so a cached
-// micro-op that falls through is at most 4 bytes long and ends in its page
-// (the 5-byte LJP/LCALL switch banks and always translate).
+// mapping alone, so its successor is the next slot of the same decode page,
+// kLen slots on. That slot is always inside the page: decode_uop caches no
+// instruction that starts in the last kMaxUopBytes-1 bytes of a page, so a
+// cached micro-op that falls through is at most 4 bytes long and ends in its
+// page (the 5-byte LJP/LCALL switch banks and always translate).
 #define FETCH_SEQUENTIAL                                                   \
+  pc = NEXT_PC();                                                          \
+  slot += kLen;                                                            \
   if (cyc >= limit) goto out;                                              \
-  pc0 = pc;                                                                \
-  slot += u.len;                                                           \
-  u = *slot;                                                               \
-  pc = static_cast<u16>(pc0 + u.len)
+  u = *slot
 
-// Under computed goto the fetch expands at the end of EVERY handler (token
-// threading): each opcode gets its own indirect-branch site, so the
-// predictor learns per-predecessor successor patterns instead of fighting
-// over one shared dispatch branch. The switch fallback keeps the single
-// shared site.
-#ifdef RMC_CGOTO
+// The fetch expands at the end of EVERY handler (token threading): each
+// opcode gets its own indirect-branch site, so the predictor learns
+// per-predecessor successor patterns instead of fighting over one shared
+// dispatch branch.
 #define NEXT_TRANSLATE                             \
   do {                                             \
     FETCH_TRANSLATE;                               \
@@ -467,17 +451,11 @@ void Cpu::run_fast_loop(u64 limit) {
     FETCH_SEQUENTIAL;                              \
     goto* kJump[u.kind];                           \
   } while (0)
-#define REDISPATCH goto* kJump[u.kind]
-#else
-#define NEXT_TRANSLATE goto translate
-#define NEXT_SEQUENTIAL goto sequential
-#define REDISPATCH goto dispatch
-#endif
 
 // Per-step accounting, identical in order and content to the legacy
 // step() epilogue (instructions, cycles, tick, observe); the tick is merely
 // deferred into cyc - tick_base. RETIRE then fetches sequentially,
-// RETIRE_JUMP translates the new PC.
+// RETIRE_JUMP translates the new PC `target_`.
 #define ACCOUNT(c_)                                \
   const unsigned c__ = (c_);                       \
   ++icount;                                        \
@@ -489,7 +467,7 @@ void Cpu::run_fast_loop(u64 limit) {
       sink->cycles[ri__] += c__;                   \
       sink->steps[ri__] += 1;                      \
     } else {                                       \
-      obs->on_step(pc0, ppc__, c__);               \
+      obs->on_step(pc, ppc__, c__);                \
     }                                              \
   }
 #define RETIRE(c_)                                 \
@@ -497,9 +475,11 @@ void Cpu::run_fast_loop(u64 limit) {
     ACCOUNT(c_);                                   \
     NEXT_SEQUENTIAL;                               \
   } while (0)
-#define RETIRE_JUMP(c_)                            \
+#define RETIRE_JUMP(c_, target_)                   \
   do {                                             \
+    const u16 to__ = static_cast<u16>(target_);    \
     ACCOUNT(c_);                                   \
+    pc = to__;                                     \
     NEXT_TRANSLATE;                                \
   } while (0)
 
@@ -513,15 +493,7 @@ void Cpu::run_fast_loop(u64 limit) {
 
 translate:
   FETCH_TRANSLATE;
-#ifdef RMC_CGOTO
   goto* kJump[u.kind];
-#else
-  goto dispatch;
-sequential:
-  FETCH_SEQUENTIAL;
-dispatch:
-  switch (u.kind) {
-#endif
 
   UOP(Invalid) {
     // First execution from this byte since it was last written: decode the
@@ -532,12 +504,11 @@ dispatch:
     mem_.watch_code_page(ppc / Memory::kPageSize);
     u = *slot;
     assert(u.kind == kU_Ljp || u.kind == kU_Lcall ||
-           (ppc & kPageMask) + u.len < Memory::kPageSize);
-    pc = static_cast<u16>(pc0 + u.len);
-    REDISPATCH;
+           (ppc & kPageMask) + kUopLen[u.kind] < Memory::kPageSize);
+    goto* kJump[u.kind];
   }
   UOP(Slow) {
-    r.pc = pc0;
+    r.pc = pc;
     goto slow_path;
   }
 
@@ -690,21 +661,12 @@ dispatch:
   // --- relative control flow ----------------------------------------------
   UOP(Djnz) {
     r.b = static_cast<u8>(r.b - 1);
-    if (r.b != 0) {
-      pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
-      RETIRE_JUMP(10);
-    }
+    if (r.b != 0) RETIRE_JUMP(10, NEXT_PC() + static_cast<i8>(u.imm));
     RETIRE(5);
   }
-  UOP(Jr) {
-    pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
-    RETIRE_JUMP(5);
-  }
+  UOP(Jr) { RETIRE_JUMP(5, NEXT_PC() + static_cast<i8>(u.imm)); }
   UOP(JrCc) {
-    if (cond(u.a)) {
-      pc = static_cast<u16>(pc + static_cast<i8>(u.imm));
-      RETIRE_JUMP(5);
-    }
+    if (cond(u.a)) RETIRE_JUMP(5, NEXT_PC() + static_cast<i8>(u.imm));
     RETIRE(3);
   }
 
@@ -736,13 +698,10 @@ dispatch:
 
   // --- absolute control flow / stack --------------------------------------
   UOP(RetCc) {
-    if (cond(u.a)) {
-      pc = pop16();
-      RETIRE_JUMP(8);
-    }
+    if (cond(u.a)) RETIRE_JUMP(8, pop16());
     RETIRE(2);
   }
-  UOP(Ret) { pc = pop16(); RETIRE_JUMP(8); }
+  UOP(Ret) { RETIRE_JUMP(8, pop16()); }
   UOP(PopBc) { r.set_bc(pop16()); RETIRE(7); }
   UOP(PopDe) { r.set_de(pop16()); RETIRE(7); }
   UOP(PopHl) { r.set_hl(pop16()); RETIRE(7); }
@@ -751,33 +710,27 @@ dispatch:
   UOP(PushDe) { push16(r.de()); RETIRE(10); }
   UOP(PushHl) { push16(r.hl()); RETIRE(10); }
   UOP(PushAf) { push16(r.af()); RETIRE(10); }
-  UOP(Jp) { pc = u.imm; RETIRE_JUMP(7); }
+  UOP(Jp) { RETIRE_JUMP(7, u.imm); }
   UOP(JpCc) {
-    if (cond(u.a)) {
-      pc = u.imm;
-      RETIRE_JUMP(7);
-    }
+    if (cond(u.a)) RETIRE_JUMP(7, u.imm);
     RETIRE(7);
   }
-  UOP(JpHl) { pc = r.hl(); RETIRE_JUMP(4); }
+  UOP(JpHl) { RETIRE_JUMP(4, r.hl()); }
   UOP(Call) {
-    push16(pc);
-    pc = u.imm;
-    RETIRE_JUMP(12);
+    push16(NEXT_PC());
+    RETIRE_JUMP(12, u.imm);
   }
   UOP(CallCc) {
     if (cond(u.a)) {
-      push16(pc);
-      pc = u.imm;
-      RETIRE_JUMP(12);
+      push16(NEXT_PC());
+      RETIRE_JUMP(12, u.imm);
     }
     RETIRE(6);
   }
   UOP(Rst) {
     if (u.b != 0) ++debug_traps_;
-    push16(pc);
-    pc = u.a;
-    RETIRE_JUMP(10);
+    push16(NEXT_PC());
+    RETIRE_JUMP(10, u.a);
   }
   UOP(Mul) {
     const auto prod =
@@ -871,7 +824,7 @@ dispatch:
   // through: the same logical PC may now map to another bank.
   UOP(LdXpcA) {
     mem_.set_xpc(r.a);
-    RETIRE_JUMP(4);
+    RETIRE_JUMP(4, NEXT_PC());
   }
   UOP(LdAXpc) {
     r.a = mem_.xpc();
@@ -886,21 +839,18 @@ dispatch:
     RETIRE(2);
   }
   UOP(Ljp) {
-    pc = u.imm;
     mem_.set_xpc(u.a);
-    RETIRE_JUMP(10);
+    RETIRE_JUMP(10, u.imm);
   }
   UOP(Lcall) {
-    push16(pc);
+    push16(NEXT_PC());
     push16(mem_.xpc());
-    pc = u.imm;
     mem_.set_xpc(u.a);
-    RETIRE_JUMP(19);
+    RETIRE_JUMP(19, u.imm);
   }
   UOP(Lret) {
     mem_.set_xpc(static_cast<u8>(pop16()));
-    pc = pop16();
-    RETIRE_JUMP(13);
+    RETIRE_JUMP(13, pop16());
   }
   UOP(BlockLd) {
     // One LDI/LDD/LDIR/LDDR iteration; a repeating form re-executes this
@@ -914,10 +864,7 @@ dispatch:
     set_flag(Flag::H, false);
     set_flag(Flag::N, false);
     set_flag(Flag::PV, r.bc() != 0);
-    if (repeat && r.bc() != 0) {
-      pc = pc0;
-      RETIRE_JUMP(7);
-    }
+    if (repeat && r.bc() != 0) RETIRE_JUMP(7, pc);
     RETIRE(10);
   }
 
@@ -1039,18 +986,11 @@ dispatch:
     xy = tmp;
     RETIRE(15);
   }
-  UOP(IxJp) {
-    pc = (u.a & 0x80) ? r.iy : r.ix;
-    RETIRE_JUMP(6);
-  }
+  UOP(IxJp) { RETIRE_JUMP(6, (u.a & 0x80) ? r.iy : r.ix); }
   UOP(IxLdSp) {
     r.sp = (u.a & 0x80) ? r.iy : r.ix;
     RETIRE(4);
   }
-
-#ifndef RMC_CGOTO
-  }
-#endif
 
 slow_path:
   // Exact per-step execution for anything the fast path does not model
@@ -1079,12 +1019,12 @@ out:
 #undef ACCOUNT
 #undef FLUSH_TICKS
 #undef UOP
-#undef REDISPATCH
 #undef NEXT_SEQUENTIAL
 #undef NEXT_TRANSLATE
 #undef FETCH_SEQUENTIAL
 #undef FETCH_TRANSLATE
 #undef PPC
+#undef NEXT_PC
 }
 
 }  // namespace rmc::rabbit

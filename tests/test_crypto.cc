@@ -778,6 +778,18 @@ TEST(BigNumDeathTest, ModExpByEvenModulusStops) {
                "odd modulus");
 }
 
+// Key generation gives up at its bound instead of drawing forever: the only
+// 1-bit candidate is 1, and 4-bit keys draw p = q = 3 every round.
+TEST(BigNumDeathTest, GeneratePrimeWithNoPrimeOfThatWidthStops) {
+  common::Xorshift64 rng(1);
+  EXPECT_DEATH((void)BigNum::generate_prime(1, rng), "found no prime");
+}
+
+TEST(BigNumDeathTest, RsaGenerateWithNoKeyOfThatWidthStops) {
+  common::Xorshift64 rng(1);
+  EXPECT_DEATH((void)rsa_generate(4, rng), "found no key pair");
+}
+
 // ---------------------------------------------------------------------------
 // RSA
 // ---------------------------------------------------------------------------
